@@ -33,6 +33,11 @@ tests in ``tests/common/test_golden_wire.py``).  Three levels of speedup:
   (floats, bools, Nones) are assembled with ``struct`` block packs and strided
   buffer writes in a single pass, variable-width columns through the value
   caches.  Mixed columns fall back to per-value encoding.
+
+The codec-selecting encoder further down (:func:`encode_column_values`) is
+under the same contract: it sizes every candidate codec arithmetically from
+C-level passes over the column, and must choose and emit exactly what the
+value-at-a-time reference kept in ``tests/common/reference_encoder.py`` does.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, islice, repeat
+from math import isfinite
+from operator import attrgetter, mul, ne, rshift, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import ReproError
@@ -250,16 +258,18 @@ def decode_values(payload: bytes, offset: int = 0) -> tuple[tuple[Value, ...], i
 
 
 @lru_cache(maxsize=1024)
-def _float_block(count: int) -> struct.Struct:
-    """Block pack for ``count`` untagged big-endian doubles."""
-    return struct.Struct(f">{count}d")
+def _block(count: int, code: str) -> struct.Struct:
+    """Block pack for ``count`` untagged big-endian values of one struct code
+    (``d`` doubles, ``q`` their int64 bit images, ``B``/``H``/``I``/``Q``
+    frame-of-reference deltas and dictionary codes)."""
+    return struct.Struct(f">{count}{code}")
 
 
 def _encode_float_column(column: Sequence[float]) -> bytes:
     """Single-pass assembly of a float column: one block pack, then strided
     writes interleave the type tags — no per-value Python calls at all."""
     count = len(column)
-    packed = _float_block(count).pack(*column)
+    packed = _block(count, "d").pack(*column)
     buffer = bytearray(9 * count)
     buffer[0::9] = _FLOAT_TAG * count
     for byte_index in range(8):
@@ -733,7 +743,7 @@ class ForColumn(EncodedColumn):
         return bytes((header,)) + encode_value(self.base) + self.deltas
 
     def _delta_struct(self) -> struct.Struct:
-        return struct.Struct(f">{self.count}{_FOR_WIDTH_FORMATS[self.delta_width]}")
+        return _block(self.count, _FOR_WIDTH_FORMATS[self.delta_width])
 
     def _materialise(self, scaled: int) -> Value:
         if self.scale:
@@ -804,123 +814,204 @@ class RawColumn(EncodedColumn):
         return [values[i] for i in positions]
 
 
+#: ``_TAG_INT`` carries ``bit_length // 8 + 2`` payload bytes in a one-byte
+#: length; wider integers take the ``_TAG_BIGINT`` form and the general path.
+_INT_TAG_MAX_BITS = 2031
+
+
+def _int_values_size(values) -> int:
+    """Encoded bytes of exact ints that fit ``_TAG_INT``: tag, length byte and
+    ``bit_length // 8 + 2`` payload bytes each."""
+    return 4 * len(values) + sum(map(rshift, map(int.bit_length, values), repeat(3)))
+
+
+def _str_values_size(values) -> int:
+    """Encoded bytes of exact strs: tag and u32 length each, plus the UTF-8."""
+    return 5 * len(values) + len("".join(values).encode("utf-8"))
+
+
+def _float_values_size(values) -> int:
+    return 9 * len(values)
+
+
+def _any_values_size(values) -> int:
+    return sum(map(len, map(encode_value, values)))
+
+
+def _frame_width(lo: int, hi: int) -> "int | None":
+    """Delta width of a frame of reference over ``[lo, hi]``, or None when the
+    base overflows int64 or the span overflows the widest (8-byte) delta."""
+    span = hi - lo
+    if not (-(1 << 63) <= lo < (1 << 63) and span < (1 << 64)):
+        return None
+    if span <= 0xFF:
+        return 1
+    if span <= 0xFFFF:
+        return 2
+    if span <= 0xFFFFFFFF:
+        return 4
+    return 8
+
+
+def _fixed_point(column: Sequence[float], image: bytes) -> "list[int] | None":
+    """``value * 100`` per value when every value is exactly a scale-2 decimal.
+
+    Round, divide back and compare the block-packed bits with ``image`` (the
+    column's own packed bits): for the finite floats that reach here, equal
+    bits is equal value *and* equal repr — ``-0.0`` fails, as it must.
+    """
+    scaled = list(map(float.__round__, map(mul, column, repeat(100.0))))
+    restored = map(truediv, scaled, repeat(100.0))
+    if _block(len(column), "d").pack(*restored) != image:
+        return None
+    return scaled
+
+
+def _split_runs(column: Sequence[Value], keys: Sequence) -> list:
+    """``(value, length)`` runs of equal keys, split at ``_RLE_MAX_RUN``."""
+    count = len(column)
+    starts = [0, *compress(range(1, count), map(ne, keys, islice(keys, 1, None)))]
+    runs = []
+    for start, end in zip(starts, [*starts[1:], count]):
+        for chunk in range(start, end, _RLE_MAX_RUN):
+            runs.append((column[chunk], min(end - chunk, _RLE_MAX_RUN)))
+    return runs
+
+
 def encode_column_values(column: Sequence[Value]) -> EncodedColumn:
     """Encode one column, choosing the cheapest codec by exact payload size.
 
-    One pass collects runs and the distinct-value dictionary; each candidate
-    codec's payload size is then computed exactly (distinct values go through
-    the memoised :func:`encode_value`, so the sizing pass is cheap) and the
-    smallest wins, with the raw tagged encoding as the fallback.  The choice
-    is fully deterministic: first-occurrence dictionary order, fixed
-    comparison order, no hashing of values.
+    The candidates are tried in the fixed order raw → frame-of-reference →
+    dictionary → run-length and a later one must be *strictly* smaller to
+    win, so the choice is deterministic: first-occurrence dictionary order,
+    fixed comparison order, nothing that depends on hash order.
+
+    A column is analysed with C-level passes.  One ``set(map(type, …))``
+    signature pass selects a typed path for columns of exact ``int``, ``str``
+    or finite ``float``: distinct values and run boundaries are keyed on the
+    value itself (for floats on its int64 bit image, which keeps ``-0.0`` and
+    ``0.0`` apart), and every candidate's size is computed arithmetically, so
+    only the winner is materialised.  Everything else — mixed types, ``None``,
+    ``bool``, subclasses, tuples, NaN or infinite floats, integers past
+    ``_TAG_INT`` — takes the general path, keyed through
+    :func:`_distinct_key` and sized through :func:`encode_value`; it is the
+    same decision over the same sizes, just computed value by value.
     """
     count = len(column)
-    raw_payload = _encode_column(column)
-    best_size = len(raw_payload)
-    best_tag = _TAG_RAWCOL
-    if count >= 4:
-        runs: list = []
-        distinct: dict = {}
-        distinct_values: list = []
-        previous_key = None
-        for value in column:
-            key = _distinct_key(value)
-            if runs and key == previous_key and runs[-1][1] < _RLE_MAX_RUN:
-                runs[-1][1] += 1
-            else:
-                runs.append([value, 1])
-                previous_key = key
-            if distinct is not None and key not in distinct:
-                if len(distinct) >= _DICT_MAX_DISTINCT:
-                    distinct = None
-                else:
-                    distinct[key] = len(distinct)
-                    distinct_values.append(value)
+    if count < 4:
+        return RawColumn(tuple(column), _encode_column(column))
+    signature = set(map(type, column))
+    kind = signature.pop() if len(signature) == 1 else None
 
-        # Frame-of-reference: int-only columns (bool is an int subclass but
-        # decodes distinctly, so exact-type only) with an int64 base, or
-        # float columns that are exactly fixed-point decimals (scale 2 —
-        # prices, rates, balances), verified value-by-value before use.
-        for_fields = None
-        scaled_column: "list[int] | None" = None
-        for_scale = 0
-        if all(type(value) is int for value in column):
-            scaled_column = list(column)
-        elif all(type(value) is float for value in column):
-            scaled = []
-            for value in column:
-                if value != value or value in (float("inf"), float("-inf")):
-                    scaled = None
-                    break
-                as_int = int(round(value * 100))
-                if as_int / 100.0 != value or repr(as_int / 100.0) != repr(value):
-                    scaled = None
-                    break
-                scaled.append(as_int)
-            if scaled is not None:
-                scaled_column = scaled
-                for_scale = 2
-        if scaled_column is not None:
-            lo = min(scaled_column)
-            hi = max(scaled_column)
-            span = hi - lo
-            if -(1 << 63) <= lo < (1 << 63) and span < (1 << 64):
-                if span <= 0xFF:
-                    width = 1
-                elif span <= 0xFFFF:
-                    width = 2
-                elif span <= 0xFFFFFFFF:
-                    width = 4
-                else:
-                    width = 8
-                for_size = 1 + len(encode_value(lo)) + width * count
-                if for_size < best_size:
-                    best_size = for_size
-                    best_tag = _TAG_FOR
-                    for_fields = (lo, hi, width)
+    # keys: one hashable per value, equal exactly when the values are
+    # indistinguishable once decoded.  size_of: exact encoded bytes of some of
+    # the column's values.  floor: the smallest encoding of any one value.
+    # width/scale (with lo, hi): the frame-of-reference candidate, if any.
+    size_of = raw_payload = width = scaled = None
+    scale = 0
+    if kind is int:
+        lo, hi = min(column), max(column)
+        if max(lo.bit_length(), hi.bit_length()) <= _INT_TAG_MAX_BITS:
+            keys, size_of, floor = column, _int_values_size, 4
+            width = _frame_width(lo, hi)
+    elif kind is str:
+        keys, size_of, floor = column, _str_values_size, 5
+    elif kind is float and isfinite(sum(column)):
+        image = _block(count, "d").pack(*column)
+        keys, size_of, floor = _block(count, "q").unpack(image), _float_values_size, 9
+        # Scaled-decimal candidate (prices, rates, balances).  Multiplying and
+        # rounding are monotone, so the scaled bounds come from the column's
+        # own; whether every value *is* a scale-2 decimal is only checked
+        # (``_fixed_point``) once this candidate would win.
+        lo, hi = min(column) * 100, max(column) * 100
+        if isfinite(lo) and isfinite(hi):
+            lo, hi, scale = round(lo), round(hi), 2
+            width = _frame_width(lo, hi)
+    if size_of is None:
+        keys, size_of, floor = list(map(_distinct_key, column)), _any_values_size, 1
+        raw_payload = _encode_column(column)
+        # key -> the *first* value stored under it, in first-occurrence order:
+        # values of one key need not encode alike (NaNs share a repr whatever
+        # their payload bits).
+        distinct = dict.fromkeys(keys)
+        distinct.update(zip(reversed(keys), reversed(column)))
+        dictionary = distinct.values()
+    elif keys is column:
+        dictionary = distinct = dict.fromkeys(column)
+    else:
+        # Floats of one bit image are interchangeable: any occurrence serves.
+        distinct = dict(zip(keys, column))
+        dictionary = distinct.values()
+    for_size = None if width is None else 1 + len(_encode_int(lo)) + width * count
 
-        dict_fields = None
-        if distinct:
-            code_width = 1 if len(distinct) <= 256 else 2
-            dict_size = (
-                _DICT_HEADER.size
-                + sum(len(encode_value(value)) for value in distinct_values)
-                + code_width * count
-            )
-            if dict_size < best_size:
-                best_size = dict_size
-                best_tag = _TAG_DICT
-                dict_fields = code_width
+    if raw_payload is not None:
+        raw_size = len(raw_payload)
+    elif for_size is not None and not scale and for_size < floor * count:
+        # An integer frame needs no verification: once it undercuts the least
+        # raw could possibly cost, raw is out and its exact size is not needed.
+        raw_size = floor * count
+    else:
+        raw_size = size_of(column)
+    best_size, best_tag = raw_size, _TAG_RAWCOL
 
-        rle_size = _RLE_HEADER.size + sum(
-            len(encode_value(value)) + _RLE_RUN.size for value, _ in runs
+    if len(distinct) <= _DICT_MAX_DISTINCT:
+        code_width = 1 if len(distinct) <= 256 else 2
+        distinct_size = size_of(dictionary)
+        dict_size = _DICT_HEADER.size + distinct_size + code_width * count
+        if dict_size < best_size:
+            best_size, best_tag = dict_size, _TAG_DICT
+    else:
+        distinct_size = floor * len(distinct)
+
+    # Frame-of-reference precedes the dictionary in the candidate order: it
+    # must beat raw strictly but only tie the dictionary.
+    if for_size is not None and for_size < raw_size and for_size <= best_size:
+        if scale:
+            scaled = _fixed_point(column, image)
+        if not scale or scaled is not None:
+            best_size, best_tag = for_size, _TAG_FOR
+
+    def rle_floor(runs: int) -> int:
+        # Every distinct value opens at least one run; any further run holds
+        # a value of at least ``floor`` bytes.
+        return (
+            _RLE_HEADER.size
+            + _RLE_RUN.size * runs
+            + distinct_size
+            + floor * (runs - len(distinct))
+        )
+
+    # Run-length goes last, pruned by its lower bound before any per-value
+    # work: first for the fewest runs the distinct values allow, then for
+    # the run boundaries counted in one pairwise pass.
+    if (
+        rle_floor(len(distinct)) < best_size
+        and rle_floor(1 + sum(map(ne, keys, islice(keys, 1, None)))) < best_size
+    ):
+        runs = _split_runs(column, keys)
+        rle_size = (
+            _RLE_HEADER.size
+            + _RLE_RUN.size * len(runs)
+            + size_of([value for value, _ in runs])
         )
         if rle_size < best_size:
-            best_size = rle_size
-            best_tag = _TAG_RLE
+            return RleColumn(count, tuple(runs))
 
-        if best_tag == _TAG_RLE:
-            return RleColumn(count, tuple((value, length) for value, length in runs))
-        if best_tag == _TAG_DICT:
-            dictionary = tuple(distinct_values)
-            codes_map = distinct
-            if dict_fields == 1:
-                codes = bytes(codes_map[_distinct_key(value)] for value in column)
-            else:
-                packed = bytearray()
-                for value in column:
-                    code = codes_map[_distinct_key(value)]
-                    packed.append(code >> 8)
-                    packed.append(code & 0xFF)
-                codes = bytes(packed)
-            return DictColumn(count, dictionary, codes, dict_fields)
-        if best_tag == _TAG_FOR:
-            lo, hi, width = for_fields
-            deltas = struct.pack(
-                f">{count}{_FOR_WIDTH_FORMATS[width]}",
-                *[value - lo for value in scaled_column],
-            )
-            return ForColumn(count, lo, width, deltas, hi, for_scale)
+    if best_tag == _TAG_DICT:
+        code_of = dict(zip(distinct, range(len(distinct))))
+        codes = map(code_of.__getitem__, keys)
+        return DictColumn(
+            count,
+            tuple(dictionary),
+            bytes(codes) if code_width == 1 else _block(count, "H").pack(*codes),
+            code_width,
+        )
+    if best_tag == _TAG_FOR:
+        deltas = map(sub, scaled if scale else column, repeat(lo))
+        packed = _block(count, _FOR_WIDTH_FORMATS[width]).pack(*deltas)
+        return ForColumn(count, lo, width, packed, hi, scale)
+    if raw_payload is None:
+        raw_payload = _encode_column(column)
     return RawColumn(tuple(column), raw_payload)
 
 
@@ -964,9 +1055,7 @@ def _unmarshal_encoded_column(
         deltas = payload[at:end]
         hi = base
         if count:
-            hi = base + max(
-                struct.unpack(f">{count}{_FOR_WIDTH_FORMATS[width]}", deltas)
-            )
+            hi = base + max(_block(count, _FOR_WIDTH_FORMATS[width]).unpack(deltas))
         return ForColumn(count, base, width, deltas, hi, scale), end
     if tag == _TAG_RAWCOL:
         values, end = _decode_column(payload, offset + 1, count)
@@ -1010,21 +1099,21 @@ class EncodedTupleBatch:
     def build(
         cls, attributes: Sequence[str], rows: Iterable[Sequence[Value]]
     ) -> "EncodedTupleBatch":
-        rows = [tuple(r) for r in rows]
+        rows = list(rows)
         arity = len(attributes)
         count = len(rows)
         if rows and arity:
-            if all(len(row) == arity for row in rows):
+            if set(map(len, rows)) == {arity}:
                 transposed: Iterable[Sequence[Value]] = zip(*rows)
             else:
                 transposed = (
                     tuple(row[index] for row in rows) for index in range(arity)
                 )
-            columns = tuple(encode_column_values(list(c)) for c in transposed)
+            columns = tuple(map(encode_column_values, transposed))
         else:
             # A zero-row batch still marshals one (empty) column per
             # attribute: the header's arity drives unmarshalling.
-            columns = tuple(encode_column_values([]) for _ in range(arity))
+            columns = tuple(encode_column_values(()) for _ in range(arity))
         batch = cls(
             attributes=tuple(attributes),
             columns=columns,
@@ -1032,22 +1121,29 @@ class EncodedTupleBatch:
             raw_size=0,
             compressed_size=0,
         )
-        payload = batch.marshal()
+        # Each column's payload is built once and serves both the marshal
+        # (sized here, never shipped: rows cross the simulator as objects)
+        # and the per-codec byte counters.
+        payloads = [column.payload() for column in columns]
+        payload = batch._frame(payloads)
         compressed = zlib.compress(payload, COMPRESSION_LEVEL)
         batch.raw_size = len(payload)
         batch.compressed_size = min(len(compressed), len(payload))
         stats = ENCODING_STATS
         stats.batches_encoded += 1
         encoded_bytes = stats.encoded_bytes
-        for column in columns:
-            encoded_bytes[CODEC_NAMES[column.tag]] += len(column.payload())
+        for column, column_payload in zip(columns, payloads):
+            encoded_bytes[CODEC_NAMES[column.tag]] += len(column_payload)
         return batch
 
     def marshal(self) -> bytes:
+        return self._frame([column.payload() for column in self.columns])
+
+    def _frame(self, payloads: Sequence[bytes]) -> bytes:
         parts = [struct.pack(">HI", len(self.attributes), self.count)]
-        for column in self.columns:
+        for column, payload in zip(self.columns, payloads):
             parts.append(bytes((column.tag,)))
-            parts.append(column.payload())
+            parts.append(payload)
         return b"".join(parts)
 
     @classmethod
@@ -1118,6 +1214,11 @@ class EncodedTupleBatch:
         return self.count
 
 
+_TUPLE_ID = attrgetter("tuple_id")
+_DELETED = attrgetter("deleted")
+_VALUES = attrgetter("values")
+
+
 class EncodedScanBatch:
     """A scan-cache entry: tuple ids plus the values kept columnar-encoded.
 
@@ -1143,12 +1244,12 @@ class EncodedScanBatch:
     def from_tuples(cls, tuples: Sequence[VersionedTuple]) -> "EncodedScanBatch":
         tuples = tuple(tuples)
         relation = tuples[0].relation if tuples else ""
-        tuple_ids = tuple(t.tuple_id for t in tuples)
-        deleted = frozenset(i for i, t in enumerate(tuples) if t.deleted)
-        arity = max((len(t.values) for t in tuples), default=0)
+        tuple_ids = tuple(map(_TUPLE_ID, tuples))
+        deleted = frozenset(compress(range(len(tuples)), map(_DELETED, tuples)))
+        rows = list(map(_VALUES, tuples))
+        arity = max(map(len, rows), default=0)
         attributes = tuple(f"c{i}" for i in range(arity))
-        batch = EncodedTupleBatch.build(attributes, [t.values for t in tuples])
-        return cls(relation, tuple_ids, deleted, batch)
+        return cls(relation, tuple_ids, deleted, EncodedTupleBatch.build(attributes, rows))
 
     def stored_size(self) -> int:
         return 64 + self.ID_BYTES * len(self.tuple_ids) + self.batch.compressed_size
@@ -1185,7 +1286,7 @@ def _decode_column(payload: bytes, offset: int, count: int) -> tuple[list[Value]
             doubles = bytearray(8 * count)
             for byte_index in range(8):
                 doubles[byte_index::8] = block[1 + byte_index :: 9]
-            return list(_float_block(count).unpack(doubles)), end
+            return list(_block(count, "d").unpack(doubles)), end
     values: list[Value] = []
     append = values.append
     unpack_float = struct.unpack_from

@@ -16,7 +16,7 @@ written to disk.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Iterator
 
 _DEFAULT_ORDER = 64
@@ -64,8 +64,9 @@ class BPlusTree:
 
     def get(self, key: Any, default: Any = None) -> Any:
         leaf = self._find_leaf(key)
-        index = self._position(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
+        keys = leaf.keys
+        index = self._position(keys, key)
+        if index < len(keys) and keys[index] == key:
             return leaf.values[index]
         return default
 
@@ -148,16 +149,19 @@ class BPlusTree:
     _position = staticmethod(bisect_left)
 
     def _find_leaf(self, key: Any) -> _LeafNode:
-        return self._path_to_leaf(key)[-1]
+        """Descend to the leaf that would hold ``key`` without recording the
+        path — only :meth:`put` needs the ancestors, for splits."""
+        node = self._root
+        while isinstance(node, _InnerNode):
+            node = node.children[bisect_right(node.keys, key)]
+        return node
 
     def _path_to_leaf(self, key: Any) -> list[Any]:
         node = self._root
         path = [node]
         while isinstance(node, _InnerNode):
-            index = self._position(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                index += 1
-            node = node.children[index]
+            # A separator equal to ``key`` sends the search right of it.
+            node = node.children[bisect_right(node.keys, key)]
             path.append(node)
         return path
 
@@ -239,7 +243,10 @@ class LocalStore:
             self._entry_sizes[(tree, key)] = size
 
     def get(self, tree: str, key: Any, default: Any = None) -> Any:
-        return self.tree(tree).get(key, default)
+        found = self._trees.get(tree)
+        if found is None:
+            found = self.tree(tree)
+        return found.get(key, default)
 
     def delete(self, tree: str, key: Any) -> bool:
         removed = self.tree(tree).delete(key)
