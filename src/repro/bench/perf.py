@@ -425,6 +425,77 @@ def bench_operators_aggregate(batches: Sequence[list], total_rows: int) -> int:
     return total_rows
 
 
+#: The lineitem-shaped micro rows as a relation: what the scan-path
+#: benchmarks publish, look up and deliver.
+_SCAN_KEY = ("l_orderkey", "l_partkey", "l_quantity")
+
+
+def _scan_relation(rows: Sequence[tuple]):
+    """``rows`` as a relation keyed on :data:`_SCAN_KEY` (first row per key)."""
+    from ..common.types import RelationData, Schema
+
+    schema = Schema("lineitem_like", _TPCH_ATTRIBUTES, key=_SCAN_KEY, partition_key=_SCAN_KEY[:1])
+    data = RelationData(schema)
+    data.rows = list({schema.key_of(values): values for values in rows}.values())
+    return data
+
+
+def _loaded_storage_pages(rows: Sequence[tuple]):
+    """A one-node cluster holding ``rows``; returns its storage service, the
+    relation's schema and the tuple-ID list of each index page (hash order —
+    how a data node is asked for a page's tuples)."""
+    from ..cluster import Cluster
+
+    data = _scan_relation(rows)
+    cluster = Cluster(1)
+    cluster.publish_relations([data])
+    (cluster_node,) = cluster.nodes.values()
+    service = cluster_node.storage
+    pages = [
+        list(page.tuple_ids)
+        for page in service.local_pages_for_relation(data.schema.name)
+    ]
+    return service, data.schema, pages
+
+
+def bench_storage_lookup_tuples(service, relation: str, pages: Sequence[list],
+                                passes: int) -> int:
+    """Data-node role of the distributed scan: one request per index page."""
+    looked_up = 0
+    for _ in range(passes):
+        for tuple_ids in pages:
+            found, missing = service.lookup_tuples(relation, tuple_ids)
+            looked_up += len(found) + len(missing)
+    return looked_up
+
+
+def bench_operators_scan_source(schema, batches: Sequence[list], passes: int) -> int:
+    """Leaf of every query: stored tuples into the first operator, once as a
+    bare projection and once behind a Q6-style residual.  Sources are rebuilt
+    per pass — delivery is idempotent per tuple ID, so a second pass over the
+    same source would measure only the duplicate check."""
+    from ..query.expressions import and_, col, lit
+    from ..query.operators import ScanSource
+    from ..query.physical import PhysScan
+
+    residual = and_(
+        col("l_discount").ge(lit(0.02)), col("l_discount").le(lit(0.08)),
+        col("l_quantity").lt(lit(5)),
+    )
+    columns = ("l_orderkey", "l_extendedprice", "l_discount")
+    delivered = 0
+    for _ in range(passes):
+        for pushed in (None, residual):
+            source = ScanSource(_BenchContext(), PhysScan(
+                op_id=1, schema=schema, columns=columns, residual=pushed,
+            ))
+            source.connect(_Sink(), 0)  # type: ignore[arg-type]
+            for batch in batches:
+                source.deliver_tuples(batch)
+                delivered += len(batch)
+    return delivered
+
+
 def bench_e2e_tpch(num_nodes: int, scale_factor: float, seed: int,
                    queries: Sequence[str]) -> int:
     """Representative end-to-end run: publish TPC-H, execute queries.
@@ -820,6 +891,13 @@ BATCH_ROWS = 256
 #: One pass over the default scale takes about 25 ms — under
 #: ``VARIANCE_FLOOR_SECONDS``, where ``--check`` gates nothing.
 ENCODED_READ_PASSES = 4
+#: Same reason, scan path: one pass of ``storage.lookup_tuples`` over the
+#: default scale is ~15 ms, one (projection + residual) pass of
+#: ``operators.scan_source`` ~45 ms, and a cached ``TupleId.hash_key`` read
+#: ~0.05 us — 100k of them were 12 ms and never gated.
+LOOKUP_PASSES = 6
+SCAN_SOURCE_PASSES = 2
+TUPLE_ID_HASH_PASSES = 20
 
 
 #: Cluster shape of the traffic suite per scale preset: (nodes, scale factor).
@@ -866,6 +944,13 @@ def run_suite(seed: int = 0, repeat: int = 3, scale: str = "default",
         ("p_partkey", "p_name"), join_build_rows, BATCH_ROWS
     )
     join_total = len(tpch_rows) + len(join_build_rows)
+    # Scan-path inputs: a loaded data node and its pages' ID lists, and the
+    # stored tuples batched page by page the way query.scan_tuples delivers.
+    scan_service, scan_schema, scan_pages = _loaded_storage_pages(tpch_rows)
+    scan_batches = [
+        scan_service.lookup_tuples(scan_schema.name, tuple_ids)[0]
+        for tuple_ids in scan_pages
+    ]
 
     benchmarks: list[tuple[str, Callable[[], int]]] = [
         ("calibration.spin", bench_calibration_spin),
@@ -886,7 +971,7 @@ def run_suite(seed: int = 0, repeat: int = 3, scale: str = "default",
         ("hashing.partition_hash",
          lambda: bench_hashing_partition(hash_keys, hash_lookups)),
         ("hashing.tuple_id_hash_key",
-         lambda: bench_hashing_tuple_ids(tuple_ids, hash_lookups)),
+         lambda: bench_hashing_tuple_ids(tuple_ids, hash_lookups * TUPLE_ID_HASH_PASSES)),
         ("hashing.sha1_identifiers",
          lambda: bench_hashing_sha1_identifiers(hash_lookups // 5)),
         ("operators.select_project",
@@ -896,6 +981,12 @@ def run_suite(seed: int = 0, repeat: int = 3, scale: str = "default",
              tpch_batches, join_build_batches, join_total)),
         ("operators.aggregate",
          lambda: bench_operators_aggregate(tpch_batches, len(tpch_rows))),
+        ("operators.scan_source",
+         lambda: bench_operators_scan_source(
+             scan_schema, scan_batches, SCAN_SOURCE_PASSES)),
+        ("storage.lookup_tuples",
+         lambda: bench_storage_lookup_tuples(
+             scan_service, scan_schema.name, scan_pages, LOOKUP_PASSES)),
     ]
     if include_e2e:
         benchmarks.append((

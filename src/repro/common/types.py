@@ -19,7 +19,9 @@ Types defined here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SchemaError
@@ -150,8 +152,7 @@ class Schema:
         return Schema(new_name, self.attributes, self.key)
 
 
-@dataclass(frozen=True, order=True)
-class TupleId:
+class TupleId(tuple):
     """Unique identifier of a stored tuple version: key values + epoch.
 
     The ID hash (``hash_key``) is derived from the tuple's *partition-key*
@@ -159,25 +160,49 @@ class TupleId:
     tuple land on the same ring position and a tuple can be fetched knowing
     only its ID (Section IV: "a tuple's hash key must be derived from
     (possibly a subset of) the attributes in its ID").
+
+    A ``tuple`` subclass over ``(key_values, epoch, partition_width)``: tuple
+    IDs are set members, dict keys and B+-tree keys on every hot path, so
+    hashing, equality and ordering run in C.  Field order, sort order and the
+    hash value are those of the frozen dataclass this replaces (which hashed
+    exactly this 3-tuple), so set iteration order — and with it message
+    order — is unchanged.  One property differs: a ``TupleId`` now compares
+    equal to a *bare* 3-tuple with the same fields, where a dataclass never
+    equalled a tuple.  Nothing compares the two (IDs only ever meet IDs), and
+    buying the distinction back would take a Python-level ``__eq__`` on the
+    hottest comparison in the system.
     """
 
-    key_values: tuple[Value, ...]
-    epoch: int
-    partition_width: int = 0
+    # No __slots__: a tuple subclass cannot declare any, and the instance
+    # ``__dict__`` is where ``cached_property`` keeps ``hash_key`` (after the
+    # first access the attribute is a plain C-level instance-dict hit).
 
-    def __init__(self, key_values: Sequence[Value], epoch: int, partition_width: int = 0):
-        object.__setattr__(self, "key_values", tuple(key_values))
-        object.__setattr__(self, "epoch", int(epoch))
+    def __new__(cls, key_values: Sequence[Value], epoch: int, partition_width: int = 0):
+        key_values = tuple(key_values)
         width = int(partition_width)
-        if width <= 0 or width > len(self.key_values):
-            width = len(self.key_values)
-        object.__setattr__(self, "partition_width", width)
+        if width <= 0 or width > len(key_values):
+            width = len(key_values)
+        return tuple.__new__(cls, (key_values, int(epoch), width))
+
+    def __getnewargs__(self):
+        # copy/pickle rebuild through __new__, which takes the three fields.
+        return tuple(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    key_values: tuple[Value, ...] = property(itemgetter(0))  # type: ignore[assignment]
+    epoch: int = property(itemgetter(1))  # type: ignore[assignment]
+    partition_width: int = property(itemgetter(2))  # type: ignore[assignment]
 
     @property
     def partition_values(self) -> tuple[Value, ...]:
-        return self.key_values[: self.partition_width]
+        return self[0][: self[2]]
 
-    @property
+    @cached_property
     def hash_key(self) -> int:
         """Ring position of the tuple, derived from its partition-key values.
 
@@ -185,28 +210,25 @@ class TupleId:
         stored by hash key constantly (B+-tree keys, scan routing, page
         assignment), and the SHA-1 is pure, so the first result is kept.
         """
-        cached = self.__dict__.get("_hash_key")
-        if cached is None:
-            cached = partition_hash(self.key_values[: self.partition_width])
-            object.__setattr__(self, "_hash_key", cached)
-        return cached
+        return partition_hash(self[0][: self[2]])
 
     def with_epoch(self, epoch: int) -> "TupleId":
-        return TupleId(self.key_values, epoch, self.partition_width)
+        return TupleId(self[0], epoch, self[2])
 
     def __repr__(self) -> str:
-        key_repr = ", ".join(repr(v) for v in self.key_values)
-        return f"⟨{key_repr} @ {self.epoch}⟩"
+        key_repr = ", ".join(repr(v) for v in self[0])
+        return f"⟨{key_repr} @ {self[1]}⟩"
 
 
-@dataclass(frozen=True)
 class VersionedTuple:
-    """A fully materialised tuple version as stored at a data storage node."""
+    """A fully materialised tuple version as stored at a data storage node.
 
-    relation: str
-    tuple_id: TupleId
-    values: tuple[Value, ...]
-    deleted: bool = False
+    Immutable value object (field-wise equality and hash).  Slotted: one
+    instance exists per stored tuple version per replica, so the layout —
+    not a per-instance ``__dict__`` — is what the resident set pays for.
+    """
+
+    __slots__ = ("relation", "tuple_id", "values", "deleted", "_estimated_size")
 
     def __init__(
         self,
@@ -215,10 +237,38 @@ class VersionedTuple:
         values: Sequence[Value],
         deleted: bool = False,
     ):
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "tuple_id", tuple_id)
-        object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "deleted", bool(deleted))
+        set_field = object.__setattr__
+        set_field(self, "relation", relation)
+        set_field(self, "tuple_id", tuple_id)
+        set_field(self, "values", tuple(values))
+        set_field(self, "deleted", bool(deleted))
+        set_field(self, "_estimated_size", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.relation, self.tuple_id, self.values, self.deleted)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"VersionedTuple(relation={self.relation!r}, tuple_id={self.tuple_id!r}, "
+            f"values={self.values!r}, deleted={self.deleted!r})"
+        )
 
     @property
     def epoch(self) -> int:
@@ -234,7 +284,7 @@ class VersionedTuple:
         Cached per instance: the same stored tuple is re-sized on every
         store/lookup/replication touch, and the instance is immutable.
         """
-        cached = self.__dict__.get("_estimated_size")
+        cached = self._estimated_size
         if cached is None:
             cached = estimate_values_size(self.values) + 8 + len(self.relation)
             object.__setattr__(self, "_estimated_size", cached)

@@ -27,9 +27,15 @@ from .routing import RoutingSnapshot, physical_address
 
 def replica_set(snapshot: RoutingSnapshot, key: int, replication_factor: int) -> list[str]:
     """Physical addresses that should hold a copy of the item at ``key``."""
-    entries = snapshot.replicas_for_key(key, replication_factor)
+    return replica_set_of_owner(snapshot, snapshot.owner_of(key), replication_factor)
+
+
+def replica_set_of_owner(
+    snapshot: RoutingSnapshot, owner: str, replication_factor: int
+) -> list[str]:
+    """:func:`replica_set` of every key the snapshot entry ``owner`` owns."""
     result: list[str] = []
-    for entry in entries:
+    for entry in snapshot.replicas_for_owner(owner, replication_factor):
         address = physical_address(entry)
         if address not in result:
             result.append(address)

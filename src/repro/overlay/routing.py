@@ -66,6 +66,7 @@ class RoutingSnapshot:
         self._neighbour_cache: dict[tuple[str, int, bool], list[str]] = {}
         self._replica_cache: dict[tuple[str, int], list[str]] = {}
         self._physical_cache: tuple[str, ...] | None = None
+        self._owner_tables = self._build_owner_tables()
 
     # -- basic accessors --------------------------------------------------------
 
@@ -132,6 +133,48 @@ class RoutingSnapshot:
             if key_range.contains(key):
                 return address
         raise RoutingError(f"no node owns key {key}")
+
+    def _build_owner_tables(self) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+        """Owner entry and physical owner by ``bisect_right(self._starts,
+        key)``, or None for a non-tiling allocation.
+
+        The tables are valid only when the ranges *tile* the ring in start
+        order — every entry's range ends exactly where the next entry's
+        starts, wrapping from the last to the first — because then the entry
+        with the largest start ≤ key always contains the key and
+        :meth:`owner_of` never takes its linear fallback.  Slot 0 holds the
+        last entry (keys before the first boundary wrap to it); slot ``i``
+        holds entry ``i - 1``.
+        """
+        ordered = self._ordered
+        count = len(ordered)
+        for index, (_start, address) in enumerate(ordered):
+            key_range = self._ranges[address]
+            if key_range.end != ordered[(index + 1) % count][0]:
+                return None
+            if key_range.full != (count == 1):
+                # start == end: a full range is the whole ring (legal for a
+                # single entry only); anything else would contain nothing.
+                return None
+        entries = (self._nodes[-1], *self._nodes)
+        return entries, tuple(physical_address(address) for address in entries)
+
+    def owners_of(self, keys: Iterable[int], physical: bool = False) -> list[str]:
+        """The owner of each key, in input order: the batched :meth:`owner_of`.
+
+        Routes a whole index page of tuple IDs at once — one C-level bisect
+        per key into a per-snapshot table, no per-key range check.  With
+        ``physical`` the synthetic ``addr#k`` entries are already collapsed
+        onto their node (``physical_address(owner_of(key))`` per key).
+        Non-tiling allocations fall back to :meth:`owner_of`.
+        """
+        tables = self._owner_tables
+        if tables is None:
+            owners = [self.owner_of(key) for key in keys]
+            return [physical_address(entry) for entry in owners] if physical else owners
+        table = tables[1] if physical else tables[0]
+        starts = self._starts
+        return [table[bisect_right(starts, key & KEY_SPACE_MASK)] for key in keys]
 
     def owners_overlapping(self, key_range: KeyRange) -> list[str]:
         """Snapshot entries whose range overlaps ``key_range``, in clockwise

@@ -35,6 +35,8 @@ the row-at-a-time implementation (the figure benchmarks are byte-compared).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter
 from typing import Callable, Protocol, Sequence
 
 from ..common.errors import PlanError
@@ -155,14 +157,82 @@ class RuntimeOperator:
         self._inputs_done.clear()
         self.finished = False
 
+    # -- teardown -------------------------------------------------------------------
+
+    def release(self) -> None:
+        """Cut the links that tie this operator into its fragment.
+
+        ``operator → context → fragment → operator`` is a reference cycle;
+        without this, everything a finished query accumulated (join tables,
+        exchange caches, emitted-ID sets) waits for the cycle collector.
+        A released operator is inert: ``emit``/``emit_eos`` go nowhere.
+        """
+        self.parent = None
+        self.context = None
+
 
 # ---------------------------------------------------------------------------
 # Leaf: scan source
 # ---------------------------------------------------------------------------
 
 
-#: Sentinel for a key-row projection onto columns outside the key.
-_INVALID_PROJECTION: tuple = (-1,)
+_TUPLE_ID = attrgetter("tuple_id")
+_TUPLE_VALUES = attrgetter("values")
+_KEY_VALUES = attrgetter("key_values")
+
+
+class _DeliveryPlan:
+    """What one input form of a scan (full tuples, or key rows) needs per
+    batch, resolved once: which input columns the residual reads, the
+    residual compiled over just those, and the output projection (a function
+    from the batch's value tuples to the projected ones, None for identity)."""
+
+    __slots__ = ("residual", "residual_columns", "project", "output_attributes")
+
+    def __init__(
+        self, spec: PhysScan, attributes: tuple[str, ...], columns: tuple[str, ...]
+    ) -> None:
+        if spec.residual is None:
+            self.residual = None
+            self.residual_columns: tuple[int, ...] = ()
+        else:
+            # Transposing a batch costs one pass per column, so the residual
+            # is compiled against the columns it references only (two or
+            # three of lineitem's sixteen, typically).
+            referenced = spec.residual.references()
+            self.residual_columns = tuple(
+                index for index, name in enumerate(attributes) if name in referenced
+            )
+            self.residual = compile_columnar(
+                spec.residual, tuple(attributes[i] for i in self.residual_columns)
+            )
+        if columns == attributes:
+            self.output_attributes = attributes
+            self.project = None
+            return
+        self.output_attributes = columns
+        try:
+            positions = [attributes.index(name) for name in columns]
+        except ValueError:
+            # Columns outside the key: only covering scans deliver key rows,
+            # and a covering plan never selects such columns.  The failure
+            # surfaces on delivery, once a row survives dedup and the
+            # residual.
+            def outside_key(_rows: list[tuple]):
+                raise KeyError(
+                    f"covering scan of {spec.schema.name!r} selects "
+                    f"columns outside the key attributes {attributes}"
+                )
+
+            self.project = outside_key
+            return
+        getter = itemgetter(*positions)
+        if len(positions) > 1:
+            self.project = lambda rows: map(getter, rows)
+        else:
+            # itemgetter of one position yields the bare value; zip wraps
+            # each into the 1-tuple a row's values must be.
+            self.project = lambda rows: zip(map(getter, rows))
 
 
 class ScanSource(RuntimeOperator):
@@ -172,6 +242,13 @@ class ScanSource(RuntimeOperator):
     scan) or by the local index-node role (covering scan).  Delivery is
     idempotent per tuple ID, which makes recovery rescans safe: a tuple that
     was already produced by this node is silently skipped.
+
+    A batch is processed as a batch: de-duplication is set algebra, the
+    residual runs column-at-a-time over the columns it reads, and projection
+    and row construction are C-level maps.  What comes out — rows, their
+    order, the shared attributes tuple, the CPU charge — is exactly what the
+    tuple-at-a-time loop produced (``tests/query/reference_scan.py`` keeps
+    that loop as the differential reference).
     """
 
     def __init__(self, context: FragmentContext, spec: PhysScan) -> None:
@@ -179,101 +256,66 @@ class ScanSource(RuntimeOperator):
         self.spec = spec
         self._emitted_ids: set = set()
         self.rows_produced = 0
-        # Everything per-row work can be hoisted out of is hoisted here:
-        # output columns, projection index tuples and compiled residuals.
-        schema = spec.schema
-        columns = spec.output_attributes()
-        self._columns = columns
-        self._schema_attributes = schema.attributes
-        self._key_attributes = schema.key
-        self._full_projection = (
-            None if columns == schema.attributes
-            else tuple(schema.index_of(name) for name in columns)
-        )
-        if columns == schema.key:
-            self._key_projection = None
-        else:
-            try:
-                self._key_projection = tuple(
-                    schema.key.index(name) for name in columns
-                )
-            except ValueError:
-                # Columns outside the key: only covering scans deliver key
-                # rows, and a covering plan never selects such columns.  Keep
-                # the original failure surface (KeyError on delivery).
-                self._key_projection = _INVALID_PROJECTION
-        self._residual_full = (
-            None if spec.residual is None
-            else compile_expression(spec.residual, schema.attributes)
-        )
-        self._residual_key = (
-            None if spec.residual is None
-            else compile_expression(spec.residual, schema.key)
-        )
+        #: Delivery plans by input attribute tuple, compiled on first use: a
+        #: scan is either covering or distributed, so only one form is ever
+        #: delivered and only that one is compiled.
+        self._plans: dict[tuple[str, ...], _DeliveryPlan] = {}
 
     def deliver_tuples(self, tuples: Sequence[VersionedTuple]) -> None:
         """Distributed scan: full tuples delivered at the data storage node."""
-        emitted = self._emitted_ids
-        residual = self._residual_full
-        projection = self._full_projection
-        attributes = self._schema_attributes
-        columns = self._columns
-        origin = frozenset({self.context.address})
-        phase = self.context.phase
-        fresh: list[TaggedRow] = []
-        append = fresh.append
-        for tup in tuples:
-            tuple_id = tup.tuple_id
-            if tuple_id in emitted:
-                continue
-            emitted.add(tuple_id)
-            values = tup.values
-            if residual is not None and not residual(values):
-                continue
-            if projection is not None:
-                row = Row.unchecked(columns, tuple(values[i] for i in projection))
-            else:
-                row = Row.unchecked(attributes, values)
-            append(TaggedRow(row, origin, phase))
-        if fresh:
-            self.rows_produced += len(fresh)
-            self.context.charge_cpu(COST_SCAN_PER_ROW * len(tuples))
-            self.emit(fresh)
+        self._deliver(
+            self.spec.schema.attributes,
+            list(map(_TUPLE_ID, tuples)),
+            list(map(_TUPLE_VALUES, tuples)),
+        )
 
     def deliver_key_rows(self, tuple_ids: Sequence) -> None:
         """Covering index scan: rows built from tuple IDs at the index node."""
+        self._deliver(
+            self.spec.schema.key, tuple_ids, list(map(_KEY_VALUES, tuple_ids))
+        )
+
+    def _deliver(
+        self, attributes: tuple[str, ...], tuple_ids: Sequence, values: list[tuple]
+    ) -> None:
+        context = self.context
+        if context is None:
+            return  # torn down: a late replica-chase reply has nowhere to go
+        delivered = len(values)
         emitted = self._emitted_ids
-        residual = self._residual_key
-        projection = self._key_projection
-        key_attributes = self._key_attributes
-        columns = self._columns
-        origin = frozenset({self.context.address})
-        phase = self.context.phase
-        fresh: list[TaggedRow] = []
-        append = fresh.append
-        for tid in tuple_ids:
-            if tid in emitted:
-                continue
-            emitted.add(tid)
-            key_values = tid.key_values
-            if residual is not None and not residual(key_values):
-                continue
-            if projection is not None:
-                if projection is _INVALID_PROJECTION:
-                    # Raised only when a row actually survives dedup and the
-                    # residual — the point where Row.project used to raise.
-                    raise KeyError(
-                        f"covering scan of {self.spec.schema.name!r} selects "
-                        f"columns outside the key attributes {key_attributes}"
-                    )
-                row = Row.unchecked(columns, tuple(key_values[i] for i in projection))
-            else:
-                row = Row.unchecked(key_attributes, key_values)
-            append(TaggedRow(row, origin, phase))
-        if fresh:
-            self.rows_produced += len(fresh)
-            self.context.charge_cpu(COST_SCAN_PER_ROW * len(tuple_ids))
-            self.emit(fresh)
+        fresh_ids = set(tuple_ids)
+        if len(fresh_ids) == delivered and emitted.isdisjoint(fresh_ids):
+            emitted |= fresh_ids
+        else:
+            # A recovery rescan re-delivering what this node already produced
+            # (or an ID repeated within the batch): first occurrence wins.
+            keep = []
+            for tuple_id in tuple_ids:
+                keep.append(tuple_id not in emitted)
+                emitted.add(tuple_id)
+            values = list(compress(values, keep))
+        if not values:
+            return
+        plan = self._plans.get(attributes)
+        if plan is None:
+            plan = self._plans[attributes] = _DeliveryPlan(
+                self.spec, attributes, self.spec.output_attributes()
+            )
+        if plan.residual is not None:
+            # IDs the residual rejects stay recorded as emitted, above.
+            columns = [list(map(itemgetter(i), values)) for i in plan.residual_columns]
+            values = list(compress(values, plan.residual(columns, len(values))))
+            if not values:
+                return
+        if plan.project is not None:
+            values = plan.project(values)
+        rows = map(Row.unchecked, repeat(plan.output_attributes), values)
+        fresh = list(map(
+            TaggedRow, rows, repeat(frozenset({context.address})), repeat(context.phase)
+        ))
+        self.rows_produced += len(fresh)
+        context.charge_cpu(COST_SCAN_PER_ROW * delivered)
+        self.emit(fresh)
 
     def accept(self, rows: list[TaggedRow], input_index: int = 0) -> None:  # pragma: no cover
         raise PlanError("ScanSource has no operator inputs")
@@ -993,6 +1035,20 @@ class Fragment:
         for op in self.operators.values():
             op.reset_for_phase(phase)
 
+    def release(self) -> None:
+        """Unlink every operator and empty the fragment (query teardown).
+
+        Afterwards the operators' state dies by reference counting as soon
+        as the last outside holder lets go, and a late lookup in any of the
+        four maps finds nothing.
+        """
+        for op in self.operators.values():
+            op.release()
+        self.operators.clear()
+        self.scan_sources.clear()
+        self.senders.clear()
+        self.receivers.clear()
+
 
 def build_fragment(plan: PhysicalPlan, context: FragmentContext) -> Fragment:
     """Instantiate the runtime operators of ``plan`` for one node."""
@@ -1039,4 +1095,8 @@ def build_fragment(plan: PhysicalPlan, context: FragmentContext) -> Fragment:
         return runtime
 
     build(plan.root)
+    # ``build`` refers to itself through its own closure cell, and that cell
+    # sits beside the ones holding the four maps: left alone, the function
+    # would keep the whole fragment alive until the cycle collector ran.
+    del build
     return Fragment(operators, scan_sources, senders, receivers)

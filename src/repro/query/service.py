@@ -32,8 +32,9 @@ from ..common.types import Value
 from ..net.simnet import SimNode
 from ..net.transport import RpcEndpoint, rpc_endpoint
 from ..overlay.membership import MembershipView
+from ..overlay.replication import replica_set
 from ..overlay.routing import RoutingSnapshot, physical_address
-from ..storage.client import StorageClient
+from ..storage.client import StorageClient, route_tuple_ids, search_targets
 from ..storage.pages import CoordinatorRecord, PageRef
 from ..storage.service import StorageService
 from .operators import Fragment, build_fragment
@@ -946,6 +947,8 @@ class QueryService:
         had their futures failed by the runtime at crash time.  The query-id
         counter keeps counting across incarnations, so ids stay unique.
         """
+        for context in self._contexts.values():
+            context.fragment.release()
         self._contexts.clear()
         self._active.clear()
         self._pending_messages.clear()
@@ -1052,6 +1055,7 @@ class QueryService:
         # Assign every index page of every scanned relation to its owner under
         # the launch snapshot; these assignments drive the leaf scans.
         scan_specs: dict[int, _ScanSpec] = {}
+        resilience = self.node.services.get("resilience")
         for scan in plan.scans():
             record, resolved_epoch = scan_records[scan.op_id]
             # Page pruning: a page whose hash range contains none of the
@@ -1061,7 +1065,6 @@ class QueryService:
             refs, pruned = prune_page_refs(record.pages, scan.prune_hashes)
             statistics.scan_pages_total += len(record.pages)
             statistics.scan_pages_pruned += pruned
-            resilience = self.node.services.get("resilience")
             pages_by_node: dict[str, list[PageRef]] = {}
             for ref in refs:
                 if resilience is None:
@@ -1071,8 +1074,6 @@ class QueryService:
                     # chase pages they lack), so route around suspected
                     # owners; with every replica healthy this is exactly the
                     # primary-owner assignment.
-                    from ..overlay.replication import replica_set
-
                     owner = resilience.select_target(
                         replica_set(snapshot, ref.storage_key, self.replication_factor)
                     )
@@ -1265,8 +1266,6 @@ class QueryService:
         if page is None:
             # Fetch the page from a replica before scanning it (the ring may
             # have moved since the page was written).
-            from ..storage.client import search_targets
-
             targets = search_targets(
                 context.snapshot, ref.storage_key, self.replication_factor,
                 exclude=(self.node.address,),
@@ -1338,21 +1337,10 @@ class QueryService:
                 source.deliver_key_rows(matching)
             done()
             return
-        resilience = self.node.services.get("resilience")
-        by_data_node: dict[str, list] = {}
-        for tid in matching:
-            if resilience is None:
-                owner = physical_address(context.snapshot.owner_of(tid.hash_key))
-            else:
-                # Same health-aware replica choice as the page assignment:
-                # the data-node handler recovers tuple versions it lacks, so
-                # any healthy replica is a valid destination.
-                from ..overlay.replication import replica_set
-
-                owner = resilience.select_target(
-                    replica_set(context.snapshot, tid.hash_key, self.replication_factor)
-                )
-            by_data_node.setdefault(owner, []).append(tid)
+        by_data_node = route_tuple_ids(
+            context.snapshot, matching, self.replication_factor,
+            self.node.services.get("resilience"),
+        )
         for data_node, tids in by_data_node.items():
             self.rpc.cast(
                 data_node, "query.scan_tuples",
@@ -1385,8 +1373,6 @@ class QueryService:
         # as Algorithm-1 retrieval does — dropping them would silently lose
         # rows from the answer.  A version found on no live node aborts the
         # query attempt through the initiator (scan_failed → restart).
-        from ..storage.client import search_targets
-
         phase = context.phase
         resilience = self.node.services.get("resilience")
         for tid in missing:
@@ -1717,13 +1703,20 @@ class QueryService:
     def _teardown_context(self, query_id: str) -> None:
         """Drop the participant-side context, reporting operator summaries to
         the tracer first so per-operator row/batch counts survive teardown.
-        Crash resets bypass this deliberately: a dead node reports nothing."""
+        Crash resets bypass this deliberately: a dead node reports nothing.
+
+        The fragment is unlinked last, so the query's operator state is freed
+        by reference counting right here instead of piling up as cyclic
+        garbage.  Callbacks that outlive the query (a replica-chase reply, a
+        page fetch) still hold the context or a scan source; they find the
+        fragment empty and the source inert."""
         context = self._contexts.pop(query_id, None)
         if context is None:
             return
         tracer = self.node.network.tracer
         if tracer is not None:
             self._emit_operator_summaries(tracer, context)
+        context.fragment.release()
 
     def _emit_operator_summaries(self, tracer, context: _NodeQueryContext) -> None:
         from .operators import AggregateOperator, HashJoinOperator

@@ -38,7 +38,7 @@ from ..common.types import Schema, TupleId, Value, VersionedTuple
 from ..net.simnet import SimNode
 from ..net.transport import RpcEndpoint, rpc_endpoint
 from ..overlay.membership import MembershipView
-from ..overlay.replication import replica_set
+from ..overlay.replication import replica_set, replica_set_of_owner
 from ..overlay.routing import RoutingSnapshot, physical_address
 from .pages import (
     CoordinatorRecord,
@@ -111,6 +111,50 @@ def search_targets(
         if address not in ordered and address not in excluded:
             ordered.append(address)
     return ordered
+
+
+def route_tuple_ids(
+    snapshot: RoutingSnapshot,
+    tuple_ids: Sequence[TupleId],
+    replication_factor: int,
+    resilience=None,
+) -> dict[str, list[TupleId]]:
+    """Group an index page's tuple IDs by the data node that serves them.
+
+    The index-node half of the distributed scan (Table I), shared by
+    Algorithm-1 retrieval and the query leaf scans: the page is routed as a
+    whole — one batched owner lookup, not one ``owner_of`` per ID.  Data nodes
+    appear in first-ID order and each node's IDs keep page order, so the
+    per-node requests leave in the same order with the same contents as
+    routing ID by ID.
+
+    With a resilience layer any healthy replica may serve a tuple request
+    (the data-node handler chases versions it lacks), so each owner's replica
+    set is ranked by health — once per distinct owner: the verdict cannot
+    change within one synchronous routing pass.  With every replica healthy
+    this is exactly the primary-owner assignment.
+    """
+    hash_keys = [tid.hash_key for tid in tuple_ids]
+    if resilience is None:
+        targets = snapshot.owners_of(hash_keys, physical=True)
+    else:
+        target_of: dict[str, str] = {}
+        targets = []
+        for owner in snapshot.owners_of(hash_keys):
+            target = target_of.get(owner)
+            if target is None:
+                target = target_of[owner] = resilience.select_target(
+                    replica_set_of_owner(snapshot, owner, replication_factor)
+                )
+            targets.append(target)
+    by_data_node: dict[str, list[TupleId]] = {}
+    for target, tid in zip(targets, tuple_ids):
+        group = by_data_node.get(target)
+        if group is None:
+            by_data_node[target] = [tid]
+        else:
+            group.append(tid)
+    return by_data_node
 
 
 class _Completion:
@@ -1317,21 +1361,9 @@ def register_retrieve_handlers(service: StorageService, replication_factor: int 
                 matching = list(page.tuple_ids)
             else:
                 matching = [tid for tid in page.tuple_ids if predicate(tid.key_values)]
-            resilience = node.services.get("resilience")
-            by_data_node: dict[str, list[TupleId]] = {}
-            for tid in matching:
-                if resilience is None:
-                    owner = physical_address(snapshot.owner_of(tid.hash_key))
-                else:
-                    # Any replica can serve the tuple request (the handler
-                    # recovers misses from its own replica chase), so prefer
-                    # a healthy one; with every replica healthy this picks
-                    # the primary owner, unchanged from the resilience-off
-                    # routing.
-                    owner = resilience.select_target(
-                        replica_set(snapshot, tid.hash_key, replication_factor)
-                    )
-                by_data_node.setdefault(owner, []).append(tid)
+            by_data_node = route_tuple_ids(
+                snapshot, matching, replication_factor, node.services.get("resilience")
+            )
             rpc.cast(requester, "store.retrieve_manifest",
                      {"request_id": request_id, "page_id": ref.page_id,
                       "data_requests": len(by_data_node)}, 48)

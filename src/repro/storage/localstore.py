@@ -70,6 +70,37 @@ class BPlusTree:
             return leaf.values[index]
         return default
 
+    def get_many(self, keys: Iterable[Any], default: Any = None) -> list[Any]:
+        """Point lookups for a batch of keys: one value per key, in request
+        order, ``default`` where a key is absent.
+
+        Equivalent to ``[self.get(key, default) for key in keys]``, but the
+        root-to-leaf descent is paid once per *leaf visited* rather than once
+        per key: a key that falls strictly inside the span of the leaf the
+        previous key landed on is resolved there.  The distributed scan asks
+        for a page's tuples in hash order, which is the tree's key order, so
+        nearly every key takes that path; unsorted, duplicate and absent keys
+        are all fine — at worst they descend again.
+        """
+        results: list[Any] = []
+        append = results.append
+        position = self._position
+        leaf: _LeafNode | None = None
+        leaf_keys: list[Any] = []
+        for key in keys:
+            index = position(leaf_keys, key)
+            if not 0 < index < len(leaf_keys):
+                # Not provably inside the current leaf's span (at or before
+                # its first key, past its last, or no leaf yet): descend.
+                leaf = self._find_leaf(key)
+                leaf_keys = leaf.keys
+                index = position(leaf_keys, key)
+            if index < len(leaf_keys) and leaf_keys[index] == key:
+                append(leaf.values[index])
+            else:
+                append(default)
+        return results
+
     def put(self, key: Any, value: Any) -> None:
         """Insert or replace the value stored under ``key``."""
         path = self._path_to_leaf(key)
@@ -247,6 +278,10 @@ class LocalStore:
         if found is None:
             found = self.tree(tree)
         return found.get(key, default)
+
+    def get_many(self, tree: str, keys: Iterable[Any], default: Any = None) -> list[Any]:
+        """Batched :meth:`get`: one value per key, in request order."""
+        return self.tree(tree).get_many(keys, default)
 
     def delete(self, tree: str, key: Any) -> bool:
         removed = self.tree(tree).delete(key)

@@ -274,20 +274,35 @@ class StorageService:
     def lookup_tuples(
         self, relation: str, tuple_ids: Iterable[TupleId]
     ) -> tuple[list[VersionedTuple], list[TupleId]]:
-        """Local point lookups; returns (found tuples, missing IDs)."""
-        found: list[VersionedTuple] = []
-        missing: list[TupleId] = []
-        count = 0
-        for tid in tuple_ids:
-            tup = self.store.get(_TUPLE_TREE, (relation, tid.hash_key, tid))
-            tup = self._verified(_TUPLE_TREE, (relation, tid.hash_key, tid), tup, "tuple")
-            count += 1
-            if tup is None:
-                missing.append(tid)
-            else:
-                found.append(tup)
-        self.node.charge_cpu(DATA_SCAN_COST_PER_TUPLE * count)
-        self.node.charge_disk_read(sum(t.estimated_size() for t in found))
+        """Local point lookups; returns (found tuples, missing IDs).
+
+        One batched store lookup for the whole request: the IDs of a page
+        arrive in hash order, which is the tuple tree's key order, so the
+        tree resolves neighbours in the leaf it is already on.  Both result
+        lists keep request order.
+        """
+        tuple_ids = list(tuple_ids)
+        keys = [(relation, tid.hash_key, tid) for tid in tuple_ids]
+        values = self.store.get_many(_TUPLE_TREE, keys)
+        if self.integrity is not None:
+            for index, value in enumerate(values):
+                if value is None:
+                    continue
+                key = keys[index]
+                if self._verified(_TUPLE_TREE, key, value, "tuple") is None:
+                    # Quarantined and deleted: a repeat of the same ID later
+                    # in this request must see the entry gone, not the copy
+                    # fetched above.
+                    for later in range(index, len(keys)):
+                        if keys[later] == key:
+                            values[later] = None
+        found = [tup for tup in values if tup is not None]
+        if len(found) == len(values):
+            missing: list[TupleId] = []
+        else:
+            missing = [tid for tid, tup in zip(tuple_ids, values) if tup is None]
+        self.node.charge_cpu(DATA_SCAN_COST_PER_TUPLE * len(tuple_ids))
+        self.node.charge_disk_read(sum([tup.estimated_size() for tup in found]))
         return found, missing
 
     def store_tuple(self, tup: VersionedTuple) -> None:

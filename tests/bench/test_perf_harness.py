@@ -27,6 +27,8 @@ def test_smoke_suite_structure(tmp_path):
         "operators.select_project",
         "operators.hash_join",
         "operators.aggregate",
+        "operators.scan_source",
+        "storage.lookup_tuples",
     ):
         assert name in benches, name
         entry = benches[name]

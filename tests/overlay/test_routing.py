@@ -266,3 +266,137 @@ def KeyRangeFor(start, end):
     from repro.common.hashing import KeyRange
 
     return KeyRange(start, end)
+
+
+class TestBatchedOwnerLookup:
+    """``owners_of`` routes a page of keys at once; it must agree with
+    ``owner_of`` key by key on every kind of snapshot the system builds."""
+
+    @staticmethod
+    def probe_keys(snapshot):
+        keys = [sha1_key(("batched", i)) for i in range(400)]
+        for key_range in snapshot.ranges().values():
+            # Both edges of every range, and their neighbours.
+            for edge in (key_range.start, key_range.end):
+                keys += [edge, (edge - 1) % 2**160, (edge + 1) % 2**160]
+        keys += [0, 2**160 - 1, 2**160, 2**160 + 12345, -1]  # wraps like owner_of
+        return keys
+
+    def assert_agrees(self, snapshot):
+        keys = self.probe_keys(snapshot)
+        entries = [snapshot.owner_of(key) for key in keys]
+        assert snapshot.owners_of(keys) == entries
+        assert snapshot.owners_of(iter(keys)) == entries
+        assert snapshot.owners_of(keys, physical=True) == [
+            physical_address(entry) for entry in entries
+        ]
+        assert snapshot.owners_of([]) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 100])
+    def test_balanced_snapshot(self, n):
+        snapshot = RoutingTable(addresses(n)).snapshot()
+        assert snapshot._owner_tables is not None  # the table path is the one tested
+        self.assert_agrees(snapshot)
+
+    def test_pastry_snapshot(self):
+        self.assert_agrees(RoutingTable(addresses(12), PastryAllocation()).snapshot())
+
+    @pytest.mark.parametrize("n,failed", [(8, ["node-3"]), (8, ["node-1", "node-6"]),
+                                          (32, ["node-7", "node-8", "node-20"])])
+    def test_post_failure_snapshot_with_synthetic_entries(self, n, failed):
+        snapshot = RoutingTable(addresses(n)).snapshot()
+        for address in failed:  # successive failures stack addr#k entries
+            snapshot, _moves = snapshot.reassign_failed([address], replication_factor=3)
+        assert any("#" in entry for entry in snapshot.nodes)
+        assert snapshot._owner_tables is not None
+        self.assert_agrees(snapshot)
+        physical = set(snapshot.owners_of(self.probe_keys(snapshot), physical=True))
+        assert physical == set(addresses(n)) - set(failed)
+
+    def test_non_tiling_snapshots_take_the_owner_of_path(self):
+        quarter = 2**158
+        gap = RoutingSnapshot({  # a stretch of ring nobody owns
+            "a": KeyRangeFor(0, quarter), "b": KeyRangeFor(quarter, 2 * quarter),
+            "c": KeyRangeFor(3 * quarter, 0),
+        })
+        overlap = RoutingSnapshot({  # starts out of tiling order
+            "a": KeyRangeFor(0, 2 * quarter), "b": KeyRangeFor(quarter, 3 * quarter),
+            "c": KeyRangeFor(3 * quarter, 0),
+        })
+        partial = RoutingSnapshot({"solo": KeyRangeFor(5, 2 * quarter)})
+        for snapshot in (gap, overlap, partial):
+            assert snapshot._owner_tables is None
+            keys = [k for k in self.probe_keys(snapshot) if self.owned(snapshot, k)]
+            assert keys
+            assert snapshot.owners_of(keys) == [snapshot.owner_of(k) for k in keys]
+            assert snapshot.owners_of(keys, physical=True) == [
+                physical_address(snapshot.owner_of(k)) for k in keys
+            ]
+        with pytest.raises(RoutingError):
+            gap.owners_of([2 * quarter + 1])  # unowned, exactly like owner_of
+
+    @staticmethod
+    def owned(snapshot, key):
+        try:
+            snapshot.owner_of(key)
+        except RoutingError:
+            return False
+        return True
+
+
+class TestRouteTupleIds:
+    """Routing a page at once groups the IDs exactly like routing each ID."""
+
+    @staticmethod
+    def reference(snapshot, tuple_ids, replication_factor, resilience):
+        # The per-ID loop of the PR 12 tree (query/service.py and
+        # storage/client.py carried one copy each).
+        from repro.overlay.replication import replica_set
+
+        by_data_node = {}
+        for tid in tuple_ids:
+            if resilience is None:
+                owner = physical_address(snapshot.owner_of(tid.hash_key))
+            else:
+                owner = resilience.select_target(
+                    replica_set(snapshot, tid.hash_key, replication_factor)
+                )
+            by_data_node.setdefault(owner, []).append(tid)
+        return by_data_node
+
+    class AvoidOne:
+        """Stand-in for the resilience layer's replica ranking."""
+
+        def __init__(self, suspect):
+            self.suspect = suspect
+            self.calls = 0
+
+        def select_target(self, targets):
+            self.calls += 1
+            healthy = [t for t in targets if t != self.suspect]
+            return (healthy or list(targets))[0]
+
+    @pytest.mark.parametrize("failed", [[], ["node-2"], ["node-2", "node-5"]])
+    def test_matches_per_id_routing(self, failed):
+        from repro.common.types import TupleId
+        from repro.storage.client import route_tuple_ids
+
+        snapshot = RoutingTable(addresses(8)).snapshot()
+        for address in failed:
+            snapshot, _moves = snapshot.reassign_failed([address], replication_factor=3)
+        ids = [TupleId((f"k{i}", i), i % 3, 1) for i in range(900)]
+        pages = [sorted(ids[i::4], key=lambda t: (t.hash_key, t.epoch)) for i in range(4)]
+        pages += [ids[:50], []]  # unsorted, and the empty page
+        for page in pages:
+            expected = self.reference(snapshot, page, 3, None)
+            got = route_tuple_ids(snapshot, page, 3)
+            assert got == expected
+            assert list(got) == list(expected)  # data nodes in first-ID order
+            suspect = "node-4"
+            ranked = self.AvoidOne(suspect)
+            expected = self.reference(snapshot, page, 3, self.AvoidOne(suspect))
+            got = route_tuple_ids(snapshot, page, 3, ranked)
+            assert got == expected and list(got) == list(expected)
+            assert suspect not in got
+            # One health ranking per distinct owner, not one per tuple ID.
+            assert ranked.calls <= len(snapshot)
