@@ -10,12 +10,14 @@ from .reconciliation import (
     ReconciliationOutcome,
     candidates_from_rows,
 )
+from .replica import KeyedRelation
 
 __all__ = [
     "CandidateUpdate",
     "Conflict",
     "ImportDelta",
     "ImportReport",
+    "KeyedRelation",
     "Orchestra",
     "Participant",
     "Reconciler",

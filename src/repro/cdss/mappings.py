@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..common.errors import MappingError
-from ..common.types import RelationData, Schema, Value
+from ..common.types import Schema, Value
 from ..query.expressions import Expression, col
 from ..query.logical import (
     LogicalJoin,
@@ -35,6 +35,7 @@ from ..query.logical import (
     LogicalScan,
     LogicalSelect,
 )
+from .replica import KeyedRelation
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class UpdateExchange:
     def compute_deltas(
         self,
         run_query,
-        local_state: Mapping[str, RelationData],
+        local_state: Mapping[str, KeyedRelation],
     ) -> list[ImportDelta]:
         """Execute every mapping and diff the answers against ``local_state``.
 
@@ -142,17 +143,15 @@ class UpdateExchange:
         the participant passes a closure that executes the query on the
         distributed engine at its import epoch.  Rows whose key is new become
         inserts; rows whose key exists with different values become
-        modifications; identical rows are counted as unchanged.
+        modifications; identical rows are counted as unchanged.  Each answer
+        row is one probe of the keyed replica.
         """
         deltas: list[ImportDelta] = []
         for mapping in self.mappings:
             rows = run_query(mapping.to_query())
             target = mapping.target
-            existing: dict[tuple[Value, ...], tuple[Value, ...]] = {}
             local = local_state.get(target.name)
-            if local is not None:
-                for values in local.rows:
-                    existing[target.key_of(values)] = tuple(values)
+            existing = local.get if local is not None else {}.get
             delta = ImportDelta(relation=target.name)
             seen_keys: set[tuple[Value, ...]] = set()
             for values in rows:
@@ -166,7 +165,7 @@ class UpdateExchange:
                 if key in seen_keys:
                     continue  # duplicate derivations of the same target tuple
                 seen_keys.add(key)
-                current = existing.get(key)
+                current = existing(key)
                 if current is None:
                     delta.inserts.append(values)
                 elif current != values:

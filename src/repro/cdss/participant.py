@@ -29,11 +29,17 @@ from ..query.logical import LogicalQuery
 from ..storage.client import UpdateBatch
 from .mappings import ImportDelta, SchemaMapping, UpdateExchange
 from .reconciliation import CandidateUpdate, Reconciler, ReconciliationOutcome
+from .replica import KeyedRelation
 
 
 @dataclass
 class ImportReport:
-    """Result of one import (update exchange + reconciliation)."""
+    """Result of one import (update exchange + reconciliation).
+
+    ``reconciliation`` covers only the keys this import touched: each key an
+    imported row carries, competing with the local row for that key.  Keys
+    no mapping row reached are neither candidates nor ``accepted`` entries.
+    """
 
     epoch: int
     deltas: list[ImportDelta] = field(default_factory=list)
@@ -44,7 +50,17 @@ class ImportReport:
 
 
 class Participant:
-    """One collaborator: a local replica plus mappings and trust priorities."""
+    """One collaborator: a local replica plus mappings and trust priorities.
+
+    Each replica relation is a :class:`KeyedRelation`, so the cycle costs
+    what it changes, not what the replica holds:
+
+    * :meth:`insert`, :meth:`modify` and :meth:`delete` are O(1);
+    * :meth:`publish` is O(pending changes) here, plus the storage publish;
+    * :meth:`import_updates` is O(mapping answer) to diff it against the
+      replica, plus O(t log t) to reconcile and apply the ``t`` keys the
+      answer changed — on top of running the mapping queries.
+    """
 
     def __init__(
         self,
@@ -54,8 +70,8 @@ class Participant:
         trust: dict[str, int] | None = None,
     ) -> None:
         self.name = name
-        self.local_database: dict[str, RelationData] = {
-            schema.name: RelationData(schema) for schema in schemas
+        self.local_database: dict[str, KeyedRelation] = {
+            schema.name: KeyedRelation(schema) for schema in schemas
         }
         self.update_exchange = UpdateExchange(mappings)
         self.reconciler = Reconciler(trust or {})
@@ -66,29 +82,28 @@ class Participant:
 
     # -- local edits -------------------------------------------------------------
 
-    def schema(self, relation: str) -> Schema:
+    def _replica(self, relation: str) -> KeyedRelation:
         try:
-            return self.local_database[relation].schema
+            return self.local_database[relation]
         except KeyError:
             raise CDSSError(f"participant {self.name!r} has no relation {relation!r}") from None
 
+    def schema(self, relation: str) -> Schema:
+        return self._replica(relation).schema
+
     def insert(self, relation: str, *values: Value) -> None:
-        self.local_database[relation].add(*values)
+        """Insert a row; a key the replica already holds raises :class:`CDSSError`."""
+        self._replica(relation).add(*values)
         self._pending_batch(relation).inserts.append(tuple(values))
 
     def modify(self, relation: str, *values: Value) -> None:
-        schema = self.schema(relation)
-        key = schema.key_of(values)
-        data = self.local_database[relation]
-        data.rows = [
-            tuple(values) if schema.key_of(row) == key else row for row in data.rows
-        ]
-        self._pending_batch(relation).modifications.append(tuple(values))
+        """Replace the row for ``values``' key in place (a new key appends)."""
+        values = tuple(values)
+        self._replica(relation).put(values)
+        self._pending_batch(relation).modifications.append(values)
 
     def delete(self, relation: str, *key_values: Value) -> None:
-        schema = self.schema(relation)
-        data = self.local_database[relation]
-        data.rows = [row for row in data.rows if schema.key_of(row) != tuple(key_values)]
+        self._replica(relation).discard(tuple(key_values))
         self._pending_batch(relation).deletes.append(tuple(key_values))
 
     def _pending_batch(self, relation: str) -> UpdateBatch:
@@ -129,37 +144,35 @@ class Participant:
 
         # Reconciliation: the imported values compete with the local replica's
         # current values; the local participant is just another publisher with
-        # its own (typically highest) trust priority.
+        # its own (typically highest) trust priority.  Only the keys an
+        # imported row touches can conflict or change, so only they are
+        # offered: each delta offers its imported rows, then the local row of
+        # every key that any delta of its relation touched.
+        touched: dict[str, dict[tuple[Value, ...], None]] = {}
+        for delta in deltas:
+            keys = touched.setdefault(delta.relation, {})
+            key_of = self.schema(delta.relation).key_of
+            for values in delta.inserts + delta.modifications:
+                keys[key_of(values)] = None
         candidates: list[CandidateUpdate] = []
         for delta in deltas:
-            schema = self.schema(delta.relation)
+            local = self.local_database[delta.relation]
+            key_of = local.schema.key_of
             for values in delta.inserts + delta.modifications:
                 candidates.append(
-                    CandidateUpdate(delta.relation, schema.key_of(values), tuple(values), "import")
+                    CandidateUpdate(delta.relation, key_of(values), tuple(values), "import")
                 )
-            local = self.local_database[delta.relation]
-            for values in local.rows:
-                candidates.append(
-                    CandidateUpdate(delta.relation, schema.key_of(values), tuple(values), self.name)
-                )
+            for key in touched[delta.relation]:
+                values = local.get(key)
+                if values is not None:
+                    candidates.append(CandidateUpdate(delta.relation, key, values, self.name))
         outcome = self.reconciler.reconcile(candidates)
         report.reconciliation = outcome
 
-        for delta in deltas:
-            schema = self.schema(delta.relation)
-            accepted = {
-                key: candidate.values
-                for (rel, key), candidate in outcome.accepted.items()
-                if rel == delta.relation
-            }
-            existing_keys = {schema.key_of(row) for row in self.local_database[delta.relation].rows}
-            data = self.local_database[delta.relation]
-            data.rows = [
-                accepted.get(schema.key_of(row), row) for row in data.rows
-            ]
-            for key, values in accepted.items():
-                if key not in existing_keys:
-                    data.rows.append(values)
+        # A held key keeps its position and a new one appends, in the order
+        # reconcile returns them.
+        for (relation, _key), candidate in outcome.accepted.items():
+            self.local_database[relation].put(candidate.values)
         self.last_import_epoch = epoch
         return report
 
@@ -203,8 +216,28 @@ class Orchestra:
 
 
 def share_relations(participant: Participant, relations: Iterable[RelationData]) -> None:
-    """Seed a participant's local replica (and pending publish) with data."""
+    """Seed a participant's local replica (and pending publish) with data.
+
+    The rows are copied into the replica; ``relations`` is never kept or
+    changed.  Every key is checked first, against the replica and against
+    the other rows shared in this call: a key held twice raises
+    :class:`CDSSError` and leaves the replica and the pending batch as they
+    were.
+    """
+    relations = list(relations)
+    shared: dict[str, set[tuple[Value, ...]]] = {}
     for data in relations:
-        participant.local_database[data.schema.name] = data
-        batch = participant._pending_batch(data.schema.name)
-        batch.inserts.extend(data.rows)
+        name = data.schema.name
+        held = participant.local_database.get(name, ())
+        keys = shared.setdefault(name, set())
+        for values in data.rows:
+            key = data.schema.key_of(values)
+            if key in keys or key in held:
+                raise CDSSError(f"relation {name!r} would hold two rows for key {key!r}")
+            keys.add(key)
+    for data in relations:
+        name = data.schema.name
+        replica = participant.local_database.setdefault(name, KeyedRelation(data.schema))
+        for values in data.rows:
+            replica.add(*values)
+        participant._pending_batch(name).inserts.extend(tuple(values) for values in data.rows)

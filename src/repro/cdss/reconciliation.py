@@ -46,7 +46,13 @@ class Conflict:
 
 @dataclass
 class ReconciliationOutcome:
-    """Accepted values plus the conflicts that were detected along the way."""
+    """Accepted values plus the conflicts that were detected along the way.
+
+    ``accepted`` holds one winner per ``(relation, key)`` group among the
+    candidates offered.  A participant's import offers only the keys it
+    touched (see :meth:`Participant.import_updates`), so there ``accepted``
+    covers those keys, not the whole replica.
+    """
 
     accepted: dict[tuple[str, tuple[Value, ...]], CandidateUpdate] = field(default_factory=dict)
     conflicts: list[Conflict] = field(default_factory=list)

@@ -540,6 +540,13 @@ class _PublishOperation:
         self._known_epochs: set[int] = set()
         self._previous_record: CoordinatorRecord | None = None
         self._previous_pages: dict[PageId, IndexPage] = {}
+        #: Per previous page that a modify or delete looks into: key values →
+        #: newest tuple ID (see :meth:`_find_current_id`).
+        self._current_ids: dict[PageId, dict[tuple[Value, ...], TupleId]] = {}
+        #: ``(tuple ID, page)`` of every insert, modification and delete of
+        #: the batch against the previous version, located once by
+        #: :meth:`_affected_pages` and reused to build the new version.
+        self._located: tuple[list[tuple[TupleId, PageRef]], ...] = ([], [], [])
 
     # -- step 1: discover the previous version -------------------------------
 
@@ -652,15 +659,25 @@ class _PublishOperation:
         completion.done()
 
     def _affected_pages(self, record: CoordinatorRecord) -> list[PageRef]:
-        schema = self.batch.schema
-        changed_hashes = [
-            schema.tuple_id_for(values, 0).hash_key
-            for values in list(self.batch.inserts) + list(self.batch.modifications)
-        ] + [schema.tuple_id_for_key(key, 0).hash_key for key in self.batch.deletes]
+        """The previous version's pages the batch changes, in first-change order.
+
+        Each change's tuple ID is built, hashed and located here once; the
+        new version is built from the same IDs and pages.
+        """
+        schema, epoch, batch = self.batch.schema, self.epoch, self.batch
+
+        def locate(tids: Iterable[TupleId]) -> list[tuple[TupleId, PageRef]]:
+            return [(tid, record.page_for_hash(tid.hash_key)) for tid in tids]
+
+        self._located = (
+            locate(schema.tuple_id_for(values, epoch) for values in batch.inserts),
+            locate(schema.tuple_id_for(values, epoch) for values in batch.modifications),
+            locate(schema.tuple_id_for_key(key, epoch) for key in batch.deletes),
+        )
         affected: dict[PageId, PageRef] = {}
-        for hash_key in changed_hashes:
-            ref = record.page_for_hash(hash_key)
-            affected[ref.page_id] = ref
+        for located in self._located:
+            for _tid, ref in located:
+                affected[ref.page_id] = ref
         return list(affected.values())
 
     # -- step 2: build the new version ----------------------------------------
@@ -685,36 +702,26 @@ class _PublishOperation:
         self._write_version(list(layout), list(pages.values()), new_tuples)
 
     def _build_incremental_version(self, affected: Sequence[PageRef]) -> None:
-        schema = self.batch.schema
         record = self._previous_record
         assert record is not None
         new_tuples: list[VersionedTuple] = []
         inserts_by_page: dict[PageId, list[TupleId]] = {}
         removals_by_page: dict[PageId, list[TupleId]] = {}
+        inserts, modifications, deletes = self._located
 
-        def page_of(hash_key: int) -> PageRef:
-            return record.page_for_hash(hash_key)
-
-        for values in self.batch.inserts:
-            tid = schema.tuple_id_for(values, self.epoch)
+        for values, (tid, ref) in zip(self.batch.inserts, inserts):
             new_tuples.append(VersionedTuple(self.relation, tid, values))
-            inserts_by_page.setdefault(page_of(tid.hash_key).page_id, []).append(tid)
-
-        for values in self.batch.modifications:
-            key_values = schema.key_of(values)
-            tid = schema.tuple_id_for(values, self.epoch)
-            new_tuples.append(VersionedTuple(self.relation, tid, values))
-            ref = page_of(tid.hash_key)
             inserts_by_page.setdefault(ref.page_id, []).append(tid)
-            old = self._find_current_id(ref, key_values)
+
+        for values, (tid, ref) in zip(self.batch.modifications, modifications):
+            new_tuples.append(VersionedTuple(self.relation, tid, values))
+            inserts_by_page.setdefault(ref.page_id, []).append(tid)
+            old = self._find_current_id(ref, tid.key_values)
             if old is not None:
                 removals_by_page.setdefault(ref.page_id, []).append(old)
 
-        for key in self.batch.deletes:
-            key_values = tuple(key)
-            hash_key = schema.tuple_id_for_key(key_values, 0).hash_key
-            ref = page_of(hash_key)
-            old = self._find_current_id(ref, key_values)
+        for tid, ref in deletes:
+            old = self._find_current_id(ref, tid.key_values)
             if old is not None:
                 removals_by_page.setdefault(ref.page_id, []).append(old)
 
@@ -738,13 +745,24 @@ class _PublishOperation:
         self._write_version(new_refs, new_pages, new_tuples)
 
     def _find_current_id(self, ref: PageRef, key_values: tuple[Value, ...]) -> TupleId | None:
-        page = self._previous_pages.get(ref.page_id)
-        if page is None:
-            return None
-        candidates = [tid for tid in page.tuple_ids if tid.key_values == key_values]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda tid: tid.epoch)
+        """The newest ID for ``key_values`` on the previous version of ``ref``.
+
+        The page's ``key values → newest ID`` map is built on the first
+        lookup into it; of two IDs with equal epochs the first one on the
+        page wins, as ``max`` over the page would pick.
+        """
+        current = self._current_ids.get(ref.page_id)
+        if current is None:
+            page = self._previous_pages.get(ref.page_id)
+            if page is None:
+                return None
+            current = {}
+            for tid in page.tuple_ids:
+                newest = current.get(tid.key_values)
+                if newest is None or tid.epoch > newest.epoch:
+                    current[tid.key_values] = tid
+            self._current_ids[ref.page_id] = current
+        return current.get(key_values)
 
     # -- step 3: write everything out -------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cdss.mappings import SchemaMapping, UpdateExchange
 from repro.cdss.participant import Orchestra, Participant, share_relations
+from repro.cdss.replica import KeyedRelation
 from repro.cdss.reconciliation import Reconciler, candidates_from_rows
 from repro.common.errors import CDSSError, MappingError
 from repro.common.types import RelationData, Schema
@@ -55,7 +56,7 @@ class TestUpdateExchangeDiff:
         exchange = self.make_exchange()
         deltas = exchange.compute_deltas(
             run_query=lambda q: [("g1", "BRCA1"), ("g2", "TP53")],
-            local_state={"LocalGenes": RelationData(TARGET)},
+            local_state={"LocalGenes": KeyedRelation(TARGET)},
         )
         (delta,) = deltas
         assert len(delta.inserts) == 2
@@ -63,7 +64,7 @@ class TestUpdateExchangeDiff:
 
     def test_changed_rows_become_modifications(self):
         exchange = self.make_exchange()
-        local = RelationData(TARGET)
+        local = KeyedRelation(TARGET)
         local.add("g1", "OLD")
         local.add("g2", "TP53")
         deltas = exchange.compute_deltas(
@@ -186,7 +187,7 @@ class TestPublishImportCycle:
         alice.modify("SourceGenes", "g1", "BRCA1-renamed", "human")
         report = bob.import_updates(alice.publish())
         assert report.deltas[0].modifications == [("g1", "BRCA1-renamed")]
-        assert bob.local_database["LocalGenes"].rows == [("g1", "BRCA1-renamed")]
+        assert list(bob.local_database["LocalGenes"].rows) == [("g1", "BRCA1-renamed")]
 
     def test_trusted_local_value_survives_import(self):
         orchestra, alice, bob = self.build_cdss()
@@ -195,7 +196,7 @@ class TestPublishImportCycle:
         alice.insert("SourceGenes", "g1", "BRCA1", "human")
         report = bob.import_updates(alice.publish())
         # Bob trusts his curated value more than the imported one.
-        assert bob.local_database["LocalGenes"].rows == [("g1", "curated-label")]
+        assert list(bob.local_database["LocalGenes"].rows) == [("g1", "curated-label")]
         assert report.reconciliation is not None
         assert len(report.reconciliation.conflicts) == 1
 

@@ -82,7 +82,7 @@ class TestPublishImportCycle:
         sequencing.publish()
 
         clinic.import_updates(first)
-        assert clinic.local_database["ClinicGenes"].rows == [("g1", "BRCA1", "human")]
+        assert list(clinic.local_database["ClinicGenes"].rows) == [("g1", "BRCA1", "human")]
 
     def test_curated_values_win_reconciliation(self):
         from repro.cdss.reconciliation import Reconciler
@@ -92,7 +92,7 @@ class TestPublishImportCycle:
         clinic.local_database["ClinicGenes"].add("g5", "curated-name", "human")
         sequencing.insert("SeqGenes", "g5", "auto-name", "human", 0.5)
         report = clinic.import_updates(sequencing.publish())
-        assert clinic.local_database["ClinicGenes"].rows == [("g5", "curated-name", "human")]
+        assert list(clinic.local_database["ClinicGenes"].rows) == [("g5", "curated-name", "human")]
         assert report.reconciliation is not None
         assert len(report.reconciliation.conflicts) == 1
 
