@@ -20,7 +20,7 @@ Fast paths
 ----------
 The traffic figures depend on the *exact* bytes, so every fast path below is
 byte-identical to the original recursive encoder (pinned by the golden-vector
-tests in ``tests/common/test_golden_wire.py``).  Three levels of speedup:
+tests in ``tests/common/test_golden_wire.py``).  Four levels of speedup:
 
 * **value caches** — the encodings of small integers and short strings are
   memoised (placement keys, flags and enumeration values repeat endlessly in
@@ -33,6 +33,12 @@ tests in ``tests/common/test_golden_wire.py``).  Three levels of speedup:
   (floats, bools, Nones) are assembled with ``struct`` block packs and strided
   buffer writes in a single pass, variable-width columns through the value
   caches.  Mixed columns fall back to per-value encoding.
+* **row batches** — :func:`encode_rows` returns ``encode_values`` of every
+  row of a batch, built a column at a time the same way (type signature
+  once per column, ``map`` over struct packs and the value caches, nested
+  tuple columns flattened), then joined row by row in one C-level pass;
+  :func:`encode_columns` and :func:`encode_column_tuples` take the rows as
+  columns.  The integrity layer's checksums are computed over these bytes.
 
 The codec-selecting encoder further down (:func:`encode_column_values`) is
 under the same contract: it sizes every candidate codec arithmetically from
@@ -46,9 +52,9 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import isfinite
-from operator import attrgetter, mul, ne, rshift, sub, truediv
+from operator import attrgetter, mul, ne, not_, rshift, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import ReproError
@@ -340,6 +346,101 @@ def _encode_column(column: Sequence[Value]) -> bytes:
         if codec is not None:
             return codec(column)
     return b"".join(map(encode_value, column))
+
+
+_BOOL_CELLS = (_BOOL_FALSE, _BOOL_TRUE)
+
+
+def _memo_cells(column: Sequence[Value], cache: dict, encode: Callable) -> list[bytes]:
+    """Per-value encodings through a value memo; Python runs only for misses."""
+    cells = list(map(cache.get, column))
+    # Encodings are never empty, so only a miss is falsy.
+    if not all(cells):
+        for index in list(compress(range(len(cells)), map(not_, cells))):
+            cells[index] = encode(column[index])
+    return cells
+
+
+def _append_cells(streams: list, column: Sequence[Value]) -> None:
+    """Append the encodings of ``column``'s values to ``streams`` as
+    per-row cells, by an encoder chosen from the column's type signature.
+
+    Joining a row's cells across all streams gives ``encode_value`` of each
+    of its values in turn.  A nested-tuple column of one width is flattened:
+    its constant tag and length prefix become one stream and each of its own
+    columns the next ones, so no per-row bytes are built for the nested
+    value.  Streams may be unbounded (constants); the caller's first stream
+    bounds the rows.
+    """
+    signature = set(map(type, column))
+    kind = signature.pop() if len(signature) == 1 else None
+    if kind is int:
+        streams.append(_memo_cells(column, _INT_CACHE, _encode_int))
+    elif kind is str:
+        streams.append(_memo_cells(column, _STR_CACHE, _encode_str))
+    elif kind is float:
+        streams.append(map(_FLOAT_VALUE.pack, repeat(_TAG_FLOAT), column))
+    elif kind is tuple:
+        widths = set(map(len, column))
+        if len(widths) == 1:
+            streams.append(repeat(_TUPLE_TAG + _U32.pack(widths.pop())))
+            for inner in zip(*column):
+                _append_cells(streams, inner)
+        else:
+            streams.append(map(_TUPLE_TAG.__add__, encode_rows(column)))
+    elif kind is bool:
+        streams.append(map(_BOOL_CELLS.__getitem__, column))
+    elif kind is type(None):
+        streams.append(repeat(_NONE_BYTES))
+    else:  # mixed types, subclasses, bytes
+        streams.append(map(encode_value, column))
+
+
+def _row_streams(prefix: bytes, columns: Sequence[Sequence[Value]], count: int) -> list:
+    """Per-row cell streams of ``count`` rows given as ``columns``, each row
+    led by ``prefix``."""
+    streams: list = [repeat(prefix, count)]
+    for column in columns:
+        _append_cells(streams, column)
+    return streams
+
+
+def encode_columns(columns: Sequence[Sequence[Value]], count: int) -> list[bytes]:
+    """``encode_values`` of each of the ``count`` rows whose ``i``-th values
+    are ``columns[i]``, built a column at a time (see :func:`encode_rows`)."""
+    return list(map(b"".join, zip(*_row_streams(_U32.pack(len(columns)), columns, count))))
+
+
+def encode_rows(rows: Sequence[Sequence[Value]]) -> list[bytes]:
+    """``[encode_values(row) for row in rows]``, built a column at a time.
+
+    Each column's type signature is found once with a C-level pass and its
+    values are encoded by ``map`` (struct packs for floats, the value memos
+    for ints and strings — Python code runs only for memo misses); mixed
+    columns and subclasses go through :func:`encode_value`.  Rows of
+    different widths are encoded width group by width group.  The rows'
+    encodings are then joined in one C-level pass.
+    """
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    widths = set(map(len, rows))
+    if len(widths) <= 1:
+        return encode_columns(list(zip(*rows)), len(rows))
+    lengths = list(map(len, rows))
+    encoded: list[bytes] = [b""] * len(rows)
+    for width in widths:
+        positions = list(compress(range(len(rows)), map(width.__eq__, lengths)))
+        group = encode_columns(list(zip(*map(rows.__getitem__, positions))), len(positions))
+        for position, row in zip(positions, group):
+            encoded[position] = row
+    return encoded
+
+
+def encode_column_tuples(columns: Sequence[Sequence[Value]], count: int) -> bytes:
+    """``encode_values`` of the ``count`` tuples whose ``i``-th values are
+    ``columns[i]``: the count, then each tuple's tag, length and values,
+    joined in one pass without building a row."""
+    streams = _row_streams(_TUPLE_TAG + _U32.pack(len(columns)), columns, count)
+    return _U32.pack(count) + b"".join(chain.from_iterable(zip(*streams)))
 
 
 @dataclass

@@ -23,7 +23,19 @@ Replay a failing seed from the command line::
 """
 
 from .injector import FaultInjector, FaultStats, LinkChaos
-from .scenarios import ScenarioConfig, ScenarioReport, ScenarioRunner, run_scenario
+
+#: Re-exported from :mod:`repro.faults.scenarios`, loaded on first use: an
+#: eager import would put the module in ``sys.modules`` before
+#: ``python -m repro.faults.scenarios`` runs it, which makes ``runpy`` warn.
+_SCENARIO_NAMES = frozenset({"ScenarioConfig", "ScenarioReport", "ScenarioRunner", "run_scenario"})
+
+
+def __getattr__(name: str):
+    if name in _SCENARIO_NAMES:
+        from . import scenarios
+
+        return getattr(scenarios, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "FaultInjector",

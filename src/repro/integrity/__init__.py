@@ -25,6 +25,7 @@ from .checksum import (
     record_checksum,
     scan_batch_checksum,
     tuple_checksum,
+    tuple_checksums,
     page_checksum,
 )
 from .config import IntegrityConfig
@@ -48,6 +49,7 @@ __all__ = [
     "DigestEntry",
     "checksum_of",
     "tuple_checksum",
+    "tuple_checksums",
     "page_checksum",
     "record_checksum",
     "scan_batch_checksum",

@@ -10,9 +10,11 @@ read-repair.
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import compress
+from operator import ne
+from typing import Any, Sequence
 
-from .checksum import checksum_of
+from .checksum import checksum_of, tuple_checksums
 from .config import IntegrityConfig
 from .stats import IntegrityStats
 
@@ -47,6 +49,22 @@ class NodeIntegrity:
             self.quarantined.discard((tree, key))
             self.stats.note_repaired(self.repair_source)
 
+    def record_tuples(self, store, tree: str, keys: Sequence[Any],
+                      tuples: Sequence[Any]) -> None:
+        """:meth:`record` for a batch of tuple versions, checksummed in one pass.
+
+        Keys are recorded in order, so a key written twice keeps the later
+        version's checksum and its quarantine → repaired accounting happens
+        once, as with one :meth:`record` per key.
+        """
+        checksums = tuple_checksums(tuples)
+        store.set_checksums(tree, keys, checksums)
+        if self.quarantined:
+            for key in keys:
+                if (tree, key) in self.quarantined:
+                    self.quarantined.discard((tree, key))
+                    self.stats.note_repaired(self.repair_source)
+
     # -- read path -------------------------------------------------------------
 
     def verify(self, store, tree: str, key: Any, value: Any, site: str,
@@ -67,14 +85,41 @@ class NodeIntegrity:
             return True
         if checksum_of(value) == expected:
             return True
-        self.stats.note_detected(site)
-        self.stats.quarantined += 1
-        self.quarantined.add((tree, key))
-        if node is not None:
-            self.detection_times.setdefault((tree, key), node.now)
-        store.delete(tree, key)
-        self._trace(node, site, tree, key)
+        self._quarantine(store, tree, key, site, node)
         return False
+
+    def verify_tuples(self, store, tree: str, keys: Sequence[Any],
+                      values: Sequence[Any], site: str, node=None) -> list[bool]:
+        """:meth:`verify` for a batch of fetched tuple versions, in one pass.
+
+        ``values[i]`` is what the store held under ``keys[i]`` (None when it
+        held nothing, which counts as intact).  Every version with a
+        recorded checksum is re-encoded and compared; the failures are then
+        quarantined in request order, with exactly the side effects of one
+        :meth:`verify` per entry.  A key repeated after its copy failed is
+        reported failed from there on without a second detection: that copy
+        is gone.
+        """
+        intact = [True] * len(keys)
+        if not self.config.verify_reads:
+            return intact
+        expected = store.get_checksums(tree, keys)
+        checked = [
+            index for index, (value, checksum) in enumerate(zip(values, expected))
+            if value is not None and checksum is not None
+        ]
+        actual = tuple_checksums([values[index] for index in checked])
+        failed_at: dict[Any, int] = {}
+        for index in compress(checked, map(ne, actual, map(expected.__getitem__, checked))):
+            key = keys[index]
+            if key not in failed_at:
+                failed_at[key] = index
+                self._quarantine(store, tree, key, site, node)
+        if failed_at:
+            for index, key in enumerate(keys):
+                if failed_at.get(key, index + 1) <= index:
+                    intact[index] = False
+        return intact
 
     def verify_cached(self, checksum: int | None, value: Any, site: str = "cache",
                       node=None, detail: Any = None) -> bool:
@@ -88,6 +133,16 @@ class NodeIntegrity:
         return False
 
     # -- internals -------------------------------------------------------------
+
+    def _quarantine(self, store, tree: str, key: Any, site: str, node) -> None:
+        """Fail a copy loudly: count it, quarantine it, delete it, trace it."""
+        self.stats.note_detected(site)
+        self.stats.quarantined += 1
+        self.quarantined.add((tree, key))
+        if node is not None:
+            self.detection_times.setdefault((tree, key), node.now)
+        store.delete(tree, key)
+        self._trace(node, site, tree, key)
 
     def _trace(self, node, site: str, tree: str, key: Any) -> None:
         """Emit a zero-duration detection span when tracing is enabled."""

@@ -682,15 +682,35 @@ class _PublishOperation:
 
     # -- step 2: build the new version ----------------------------------------
 
+    def _first_version_rows(self) -> list[tuple[Value, ...]]:
+        """The rows a relation's first version holds: the batch folded.
+
+        With no earlier version to modify or delete, the batch's
+        modifications replace the inserted rows of the same key (or add
+        rows) and its deletes then drop keys — inserts, then modifications,
+        then deletes.  An insert-only batch is stored as given.
+        """
+        batch = self.batch
+        if not (batch.modifications or batch.deletes):
+            return batch.inserts
+        key_of = batch.schema.key_of
+        folded = {key_of(values): values for values in batch.inserts}
+        for values in batch.modifications:
+            folded[key_of(values)] = values
+        for key in batch.deletes:
+            folded.pop(tuple(key), None)
+        return list(folded.values())
+
     def _build_first_version(self) -> None:
         schema = self.batch.schema
+        rows = self._first_version_rows()
         num_pages = choose_page_count(
-            len(self.batch.inserts), len(self.snapshot.nodes), self.client.page_capacity
+            len(rows), len(self.snapshot.nodes), self.client.page_capacity
         )
         layout = initial_page_layout(self.relation, self.epoch, num_pages)
         pages = {ref.page_id: IndexPage(ref, []) for ref in layout}
         new_tuples: list[VersionedTuple] = []
-        for values in self.batch.inserts:
+        for values in rows:
             tid = schema.tuple_id_for(values, self.epoch)
             new_tuples.append(VersionedTuple(self.relation, tid, values))
             for ref in layout:

@@ -17,6 +17,7 @@ written to disk.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator
 
 _DEFAULT_ORDER = 64
@@ -299,6 +300,14 @@ class LocalStore:
     def get_checksum(self, tree: str, key: Any) -> int | None:
         """The recorded checksum for ``(tree, key)``, or None if unchecked."""
         return self._checksums.get((tree, key))
+
+    def set_checksums(self, tree: str, keys: Iterable[Any], checksums: Iterable[int]) -> None:
+        """Batched :meth:`set_checksum`, in key order."""
+        self._checksums.update(zip(zip(repeat(tree), keys), checksums))
+
+    def get_checksums(self, tree: str, keys: Iterable[Any]) -> list[int | None]:
+        """Batched :meth:`get_checksum`: one entry per key, in request order."""
+        return list(map(self._checksums.get, zip(repeat(tree), keys)))
 
     def contains(self, tree: str, key: Any) -> bool:
         return key in self.tree(tree)

@@ -27,7 +27,7 @@ nearby in the system until it found a copy" behaviour.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from ..common.types import TupleId, VersionedTuple
 from ..net.simnet import SimNode
@@ -66,9 +66,6 @@ class StorageService:
         #: re-verifies it; a mismatch quarantines the local copy so the
         #: caller's replica-failover path read-repairs it transparently.
         self.integrity = integrity
-        #: Local observers notified when tuples are written (used by tests and
-        #: by the background replicator's bookkeeping).
-        self._write_listeners: list[Callable[[VersionedTuple], None]] = []
         self._register_handlers()
         node.services["storage"] = self
 
@@ -86,9 +83,6 @@ class StorageService:
         self.rpc.register("store.get_tuples", self._on_get_tuples)
         self.rpc.register("store.put_inverse", self._on_put_inverse)
         self.rpc.register("store.get_inverse", self._on_get_inverse)
-
-    def add_write_listener(self, listener: Callable[[VersionedTuple], None]) -> None:
-        self._write_listeners.append(listener)
 
     # -------------------------------------------------------------- integrity
 
@@ -114,14 +108,7 @@ class StorageService:
     # ------------------------------------------------------- coordinator role
 
     def _on_put_coordinator(self, _src: str, payload: Mapping[str, object], respond) -> None:
-        record: CoordinatorRecord = payload["record"]
-        self.store.put(
-            _COORD_TREE,
-            (record.relation, record.epoch),
-            record,
-            size=record.estimated_size(),
-        )
-        self._record_checksum(_COORD_TREE, (record.relation, record.epoch), record)
+        self.store_coordinator(payload["record"])
         respond({"ok": True}, size=8)
 
     def _on_get_coordinator(self, _src: str, payload: Mapping[str, object], respond) -> None:
@@ -148,9 +135,7 @@ class StorageService:
     # -------------------------------------------------------- index node role
 
     def _on_put_page(self, _src: str, payload: Mapping[str, object], respond) -> None:
-        page: IndexPage = payload["page"]
-        self.store.put(_PAGE_TREE, page.page_id, page, size=page.estimated_size())
-        self._record_checksum(_PAGE_TREE, page.page_id, page)
+        self.store_page(payload["page"])
         respond({"ok": True}, size=8)
 
     def _on_get_page(self, _src: str, payload: Mapping[str, object], respond) -> None:
@@ -193,21 +178,7 @@ class StorageService:
     # ------------------------------------------------------ data storage role
 
     def _on_put_tuples(self, _src: str, payload: Mapping[str, object], respond) -> None:
-        tuples: Iterable[VersionedTuple] = payload["tuples"]
-        total = 0
-        count = 0
-        for tup in tuples:
-            self.store.put(
-                _TUPLE_TREE,
-                (tup.relation, tup.hash_key, tup.tuple_id),
-                tup,
-                size=tup.estimated_size(),
-            )
-            self._record_checksum(_TUPLE_TREE, (tup.relation, tup.hash_key, tup.tuple_id), tup)
-            total += tup.estimated_size()
-            count += 1
-            for listener in self._write_listeners:
-                listener(tup)
+        count = self.store_tuples(payload["tuples"])
         self.node.charge_cpu(INSERT_COST_PER_TUPLE * count)
         self.node.charge_disk_read(0)  # writes are asynchronous in the prototype
         respond({"ok": True, "count": count}, size=16)
@@ -285,17 +256,13 @@ class StorageService:
         keys = [(relation, tid.hash_key, tid) for tid in tuple_ids]
         values = self.store.get_many(_TUPLE_TREE, keys)
         if self.integrity is not None:
-            for index, value in enumerate(values):
-                if value is None:
-                    continue
-                key = keys[index]
-                if self._verified(_TUPLE_TREE, key, value, "tuple") is None:
-                    # Quarantined and deleted: a repeat of the same ID later
-                    # in this request must see the entry gone, not the copy
-                    # fetched above.
-                    for later in range(index, len(keys)):
-                        if keys[later] == key:
-                            values[later] = None
+            # Failed copies are quarantined and deleted: they, and a repeat of
+            # the same ID later in this request, read as missing.
+            intact = self.integrity.verify_tuples(
+                self.store, _TUPLE_TREE, keys, values, "tuple", node=self.node
+            )
+            if not all(intact):
+                values = [value if ok else None for value, ok in zip(values, intact)]
         found = [tup for tup in values if tup is not None]
         if len(found) == len(values):
             missing: list[TupleId] = []
@@ -305,15 +272,21 @@ class StorageService:
         self.node.charge_disk_read(sum([tup.estimated_size() for tup in found]))
         return found, missing
 
+    def store_tuples(self, tuples: Iterable[VersionedTuple]) -> int:
+        """Store tuple versions locally and checksum them in one pass;
+        returns how many were stored."""
+        tuples = list(tuples)
+        keys = [(tup.relation, tup.hash_key, tup.tuple_id) for tup in tuples]
+        put = self.store.put
+        for key, tup in zip(keys, tuples):
+            put(_TUPLE_TREE, key, tup, size=tup.estimated_size())
+        if self.integrity is not None:
+            self.integrity.record_tuples(self.store, _TUPLE_TREE, keys, tuples)
+        return len(tuples)
+
     def store_tuple(self, tup: VersionedTuple) -> None:
         """Directly store a tuple locally (used by background replication)."""
-        self.store.put(
-            _TUPLE_TREE,
-            (tup.relation, tup.hash_key, tup.tuple_id),
-            tup,
-            size=tup.estimated_size(),
-        )
-        self._record_checksum(_TUPLE_TREE, (tup.relation, tup.hash_key, tup.tuple_id), tup)
+        self.store_tuples((tup,))
 
     def store_page(self, page: IndexPage) -> None:
         self.store.put(_PAGE_TREE, page.page_id, page, size=page.estimated_size())
@@ -355,11 +328,11 @@ class StorageService:
         rotted copy (fresh != stored) from a divergent-but-self-consistent
         one (both replicas verify, checksums differ across the group).
         """
-        from ..integrity.checksum import checksum_of
+        from ..integrity.checksum import checksum_of, tuple_checksums
         from ..integrity.scrubber import DigestEntry
         from .pages import coordinator_key
 
-        entries: dict = {}
+        held = []
         for key, value in self.store.items(tree):
             if tree == _TUPLE_TREE:
                 _rel, hash_key, tid = key
@@ -371,15 +344,19 @@ class StorageService:
                 placement, version = coordinator_key(relation, epoch), epoch
             else:
                 continue
-            if not key_range.contains(placement):
-                continue
-            entries[key] = DigestEntry(
+            if key_range.contains(placement):
+                held.append((key, value, version))
+        values = [value for _key, value, _version in held]
+        checksums = tuple_checksums(values) if tree == _TUPLE_TREE else map(checksum_of, values)
+        return {
+            key: DigestEntry(
                 version=version,
-                checksum=checksum_of(value),
+                checksum=checksum,
                 stored=self.store.get_checksum(tree, key),
                 size=value.estimated_size(),
             )
-        return entries
+            for (key, value, version), checksum in zip(held, checksums)
+        }
 
     def scrub_fetch(self, tree: str, key):
         """Raw read for the scrubber's repair copy (no verification here:

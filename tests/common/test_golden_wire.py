@@ -9,8 +9,8 @@ it silently shifts every traffic figure.
 
 Covers every type tag, the one-byte-length integer boundaries around
 ``_TAG_INT``/``_TAG_BIGINT`` (encodings of exactly 255 vs 256 bytes), the
-row-level ``encode_values`` framing and the column-wise ``TupleBatch``
-marshal layout.
+row-level ``encode_values`` framing (also as built a batch at a time by
+``encode_rows``) and the column-wise ``TupleBatch`` marshal layout.
 """
 
 import hashlib
@@ -22,6 +22,9 @@ from repro.common.serialization import (
     TupleBatch,
     decode_value,
     decode_values,
+    encode_column_tuples,
+    encode_columns,
+    encode_rows,
     encode_value,
     encode_values,
 )
@@ -185,3 +188,40 @@ def test_heterogeneous_column_matches_value_encoder():
     header = struct.pack(">II", 1, len(rows)) + b"\x00\x05mixed"
     body = b"".join(encode_value(r[0]) for r in rows)
     assert marshal == header + body
+
+
+def test_encode_rows_golden():
+    """The batch encoder emits the pinned row bytes, one entry per row, for
+    single-type columns, every tag in one column, nested tuples and rows of
+    different widths in one batch."""
+    assert encode_rows([GOLDEN_ROW, GOLDEN_ROW]) == [bytes.fromhex(GOLDEN_ROW_HEX)] * 2
+    assert encode_rows([]) == []
+    assert encode_rows([(), ()]) == [bytes.fromhex("00000000")] * 2
+    every_tag = [(value,) for value, _ in GOLDEN_VALUES]
+    assert [row.hex() for row in encode_rows(every_tag)] == [
+        "00000001" + expected_hex for _, expected_hex in GOLDEN_VALUES
+    ]
+    mixed_widths = [(1, "a", None), ((1, (2, (3,))),), GOLDEN_ROW, (True,)]
+    assert [row.hex() for row in encode_rows(mixed_widths)] == [
+        "00000003" + "0202000104000000016100",
+        "00000001" + "060000000202020001060000000202020002060000000102020003",
+        GOLDEN_ROW_HEX,
+        "00000001" + "0101",
+    ]
+
+
+def test_encode_columns_and_column_tuples_golden():
+    """Rows given as columns: per-row bytes, and the whole sequence of rows
+    as one ``encode_values`` of tuples."""
+    columns = [[1, None], ["a", (2, 3)]]
+    assert [row.hex() for row in encode_columns(columns, 2)] == [
+        "00000002" + "02020001" + "040000000161",
+        "00000002" + "00" + "060000000202020002" + "02020003",
+    ]
+    assert encode_column_tuples(columns, 2) == encode_values(((1, "a"), (None, (2, 3))))
+    assert encode_column_tuples(columns, 2).hex() == (
+        "00000002"
+        + "060000000202020001040000000161"
+        + "060000000200060000000202020002" + "02020003"
+    )
+    assert encode_column_tuples([[], []], 0).hex() == "00000000"
