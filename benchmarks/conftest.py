@@ -4,8 +4,8 @@ Every benchmark regenerates one table/figure of the paper's evaluation
 (Section VI) on a *scaled-down* workload: the simulator runs the same
 protocols and queries, but with roughly 1/1000 of the paper's tuple counts so
 that the full suite completes in minutes.  The constants below are the single
-place where those scales are defined; EXPERIMENTS.md records the scale used
-for the committed results.
+place where those scales are defined, so they are also the record of the
+scale behind every series a benchmark prints.
 
 Each benchmark prints the full series it measured (the same rows the paper's
 figure plots) and asserts the qualitative *shape* of the paper's result —

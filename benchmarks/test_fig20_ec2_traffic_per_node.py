@@ -12,8 +12,8 @@ def test_fig20_ec2_per_node_traffic_vs_nodes(benchmark, print_series):
     # Shape: per-node traffic decreases as nodes are added for the queries
     # whose data volume dominates (Q3, Q5).  Q10 moves little data at the
     # scaled-down workload, so its per-node traffic is bounded by the fixed
-    # per-node control cost instead of decreasing; EXPERIMENTS.md discusses
-    # this deviation from the paper's (data-dominated) regime.
+    # per-node control cost instead of decreasing, a deviation from the
+    # paper's (data-dominated) regime.
     for query in ("Q3", "Q5"):
         per_node = series(rows, "per_node_mb", "query", query, "nodes")
         assert per_node[max(EC2_NODE_COUNTS)] < per_node[min(EC2_NODE_COUNTS)]

@@ -4,8 +4,9 @@ Sharing Systems" (Taylor & Ives, ICDE 2010).
 The package implements the distributed, replicated, versioned storage layer
 and the fault-tolerant distributed query processor of the ORCHESTRA
 collaborative data sharing system, running on a deterministic discrete-event
-network simulator.  See DESIGN.md for the system inventory and EXPERIMENTS.md
-for the reproduced evaluation.
+network simulator.  The README's "Architecture" and "Repository map"
+sections list the subsystems; "Running the tests and benchmarks" covers the
+reproduced evaluation.
 """
 
 __version__ = "1.2.0"

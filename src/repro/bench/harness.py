@@ -11,9 +11,9 @@ dict per measured point) with the same quantities the paper plots:
 
 The sweeps accept size parameters so the benchmark suite can run scaled-down
 workloads by default (the full paper-scale sweeps take hours of simulation);
-EXPERIMENTS.md records which scale each reported table used.  Results of a
-sweep are memoised per-process so that figures sharing a sweep (e.g. Figures
-7, 8 and 9) only pay for it once.
+``benchmarks/conftest.py`` fixes the scale each figure benchmark runs at.
+Results of a sweep are memoised per-process so that figures sharing a sweep
+(e.g. Figures 7, 8 and 9) only pay for it once.
 """
 
 from __future__ import annotations

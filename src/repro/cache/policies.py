@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Hashable, Iterable
+from typing import Hashable
 
 
 class EvictionPolicy:
@@ -139,6 +139,3 @@ def make_policy(name: str) -> EvictionPolicy:
         return GreedyDualPolicy()
     raise ValueError(f"unknown eviction policy {name!r}")
 
-
-def policy_names() -> Iterable[str]:
-    return (POLICY_LRU, POLICY_GREEDY_DUAL)

@@ -8,24 +8,26 @@ the :class:`~repro.net.simnet.TrafficMeter` deltas the figures plot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..obs.counters import Counters, counter
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Counters for one cache store (or an aggregate over several)."""
 
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-    rejected: int = 0
-    bytes_saved: int = 0
+    hits: int = counter("cache.hits")
+    misses: int = counter("cache.misses")
+    insertions: int = counter("cache.insertions")
+    evictions: int = counter("cache.evictions")
+    invalidations: int = counter("cache.invalidations")
+    rejected: int = counter("cache.rejected")
+    bytes_saved: int = counter("cache.bytes_saved")
     #: Per-kind hit/miss breakdown, keyed by the entry-kind tag (the first
     #: element of namespaced cache keys: "coord", "page", "scan", ...).
-    hits_by_kind: dict[str, int] = field(default_factory=dict)
-    misses_by_kind: dict[str, int] = field(default_factory=dict)
+    hits_by_kind: dict[str, int] = counter("cache.hits", tag="kind", default_factory=dict)
+    misses_by_kind: dict[str, int] = counter("cache.misses", tag="kind", default_factory=dict)
 
     @property
     def lookups(self) -> int:
@@ -45,57 +47,5 @@ class CacheStats:
         self.misses += 1
         self.misses_by_kind[kind] = self.misses_by_kind.get(kind, 0) + 1
 
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Accumulate ``other`` into this instance (used for cluster totals)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.insertions += other.insertions
-        self.evictions += other.evictions
-        self.invalidations += other.invalidations
-        self.rejected += other.rejected
-        self.bytes_saved += other.bytes_saved
-        for kind, count in other.hits_by_kind.items():
-            self.hits_by_kind[kind] = self.hits_by_kind.get(kind, 0) + count
-        for kind, count in other.misses_by_kind.items():
-            self.misses_by_kind[kind] = self.misses_by_kind.get(kind, 0) + count
-        return self
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "rejected": self.rejected,
-            "bytes_saved": self.bytes_saved,
-            "hits_by_kind": dict(self.hits_by_kind),
-            "misses_by_kind": dict(self.misses_by_kind),
-        }
-
     def to_dict(self) -> dict:
-        """Common stats-serialization protocol (see :mod:`repro.obs.metrics`)."""
-        return self.as_dict()
-
-    def metric_series(self, tier: str = ""):
-        """Registry samples: ``cache.hits{tier=...}``, per-kind breakdowns."""
-        tags = {"tier": tier} if tier else {}
-        samples = [
-            ("cache.hits", dict(tags), self.hits),
-            ("cache.misses", dict(tags), self.misses),
-            ("cache.insertions", dict(tags), self.insertions),
-            ("cache.evictions", dict(tags), self.evictions),
-            ("cache.invalidations", dict(tags), self.invalidations),
-            ("cache.rejected", dict(tags), self.rejected),
-            ("cache.bytes_saved", dict(tags), self.bytes_saved),
-        ]
-        for kind in sorted(self.hits_by_kind):
-            samples.append(
-                ("cache.hits", {**tags, "kind": kind}, self.hits_by_kind[kind])
-            )
-        for kind in sorted(self.misses_by_kind):
-            samples.append(
-                ("cache.misses", {**tags, "kind": kind}, self.misses_by_kind[kind])
-            )
-        return samples
+        return {**self.snapshot(), "hit_rate": self.hit_rate}

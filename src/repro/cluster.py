@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 from .cache import CacheConfig, CacheStats, NodeCache, SemanticResultCache
 from .common.errors import ReproError
+from .common.serialization import ENCODING_STATS
 from .common.types import RelationData, Value
 from .net.profiles import LAN_GIGABIT, NetworkProfile
 from .net.simnet import Network, SimNode, TrafficSnapshot
@@ -182,7 +183,7 @@ class Cluster:
         self.metrics.register_collector(self._scheduler_series)
         self.metrics.register_collector(self._cache_series)
         self.metrics.register_collector(self._fault_series)
-        self.metrics.register_collector(self._encoding_series)
+        self.metrics.register_collector(ENCODING_STATS.metric_series)
         self.metrics.register_collector(self._resilience_series)
         self.metrics.register_collector(self._integrity_series)
         for address in self.addresses:
@@ -306,10 +307,13 @@ class Cluster:
         """One uniformly-named snapshot of everything the cluster measures.
 
         ``metrics`` is the flat ``{"name{tags}": value}`` view over the
-        traffic meter, the scheduler, the cache tiers and the fault injector
-        (``rpc.bytes{kind=...}``, ``scheduler.admitted{initiator=...}``,
-        ``cache.hits{tier=...}``, ...); ``tracing`` summarises the installed
-        tracer, if any.
+        seven registered collectors: the traffic meter, the scheduler, the
+        cache tiers, the fault injector, the encoding pipeline, the
+        resilience layer and the integrity layer (``rpc.bytes{kind=...}``,
+        ``scheduler.admitted{initiator=...}``, ``cache.hits{tier=...}``,
+        ``page.encoded_bytes{codec=...}``, ``rpc.hedges{outcome=...}``,
+        ``integrity.detected{site=...}``, ...); ``tracing`` summarises the
+        installed tracer, if any.
         """
         tracer = self.network.tracer
         return {
@@ -331,24 +335,13 @@ class Cluster:
             return []
         samples = []
         for tier, stats in self.cache_statistics().items():
-            samples.extend(stats.metric_series(tier))
+            samples.extend(stats.metric_series(tier=tier))
         # Current occupancy per tier (gauges): the bytes actually held under
         # the budgets right now, cluster-wide.  With encoded tuple batches in
         # the node tier these are *encoded* bytes — the same charged sizes
         # the eviction budget enforces.
         for tier, occupied in self.cache_bytes().items():
             samples.append(("cache.bytes", {"tier": tier}, occupied))
-        return samples
-
-    def _encoding_series(self):
-        from .common.serialization import ENCODING_STATS
-
-        samples = [
-            ("page.encoded_bytes", {"codec": codec}, count)
-            for codec, count in sorted(ENCODING_STATS.encoded_bytes.items())
-        ]
-        samples.append(("page.encoded_batches", {}, ENCODING_STATS.batches_encoded))
-        samples.append(("page.batches_skipped", {}, ENCODING_STATS.batches_skipped))
         return samples
 
     def _fault_series(self):
@@ -396,14 +389,18 @@ class Cluster:
             return []
         return self.integrity_statistics().metric_series()
 
+    def _merged(self, stats_class, layer: str):
+        """The sum of every node's ``layer`` component's stats."""
+        total = stats_class()
+        for cluster_node in self.nodes.values():
+            component = getattr(cluster_node, layer)
+            if component is not None:
+                total.merge(component.stats)
+        return total
+
     def integrity_statistics(self) -> IntegrityStats:
         """Cluster-wide integrity counters, aggregated over all nodes."""
-        total = IntegrityStats()
-        for cluster_node in self.nodes.values():
-            if cluster_node.integrity is not None:
-                total.merge(cluster_node.integrity.stats)
-        total.merge(self._scrub_stats)
-        return total
+        return self._merged(IntegrityStats, "integrity").merge(self._scrub_stats)
 
     @property
     def integrity_enabled(self) -> bool:
@@ -419,15 +416,7 @@ class Cluster:
 
     def resilience_statistics(self) -> ResilienceStats:
         """Cluster-wide resilience counters, aggregated over all nodes."""
-        total = ResilienceStats()
-        for cluster_node in self.nodes.values():
-            if cluster_node.resilience is not None:
-                total.merge(cluster_node.resilience.stats)
-        return total
-
-    @property
-    def resilience_enabled(self) -> bool:
-        return self.resilience_config is not None
+        return self._merged(ResilienceStats, "resilience")
 
     def start_resilience_heartbeats(self, duration: float) -> int:
         """Schedule heartbeat probe trains on every live node for ``duration``.
@@ -749,14 +738,10 @@ class Cluster:
         (coordinator records, pages, tuple batches, resolutions) and the
         semantic result caches.  Empty stats when caching is disabled.
         """
-        node_total = CacheStats()
-        result_total = CacheStats()
-        for cluster_node in self.nodes.values():
-            if cluster_node.cache is not None:
-                node_total.merge(cluster_node.cache.stats)
-            if cluster_node.result_cache is not None:
-                result_total.merge(cluster_node.result_cache.stats)
-        return {"node": node_total, "result": result_total}
+        return {
+            "node": self._merged(CacheStats, "cache"),
+            "result": self._merged(CacheStats, "result_cache"),
+        }
 
     def cache_bytes(self) -> dict[str, int]:
         """Bytes currently held per cache tier, cluster-wide.

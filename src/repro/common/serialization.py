@@ -57,6 +57,7 @@ from math import isfinite
 from operator import attrgetter, mul, ne, not_, rshift, sub, truediv
 from typing import Callable, Iterable, Sequence
 
+from ..obs.counters import Counters, counter
 from .errors import ReproError
 from .types import Value, VersionedTuple
 
@@ -588,7 +589,8 @@ _RLE_MAX_RUN = 0xFFFF
 _FOR_WIDTH_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-class EncodingStats:
+@dataclass(slots=True)
+class EncodingStats(Counters):
     """Process-wide instrumentation for the encoding pipeline.
 
     ``encoded_bytes`` feeds the ``page.encoded_bytes{codec=…}`` counters;
@@ -596,35 +598,18 @@ class EncodingStats:
     over encoded data never materialises values of a non-surviving batch.
     """
 
-    __slots__ = (
-        "batches_encoded",
-        "encoded_bytes",
-        "columns_decoded",
-        "values_decoded",
-        "batches_decoded",
-        "batches_skipped",
+    batches_encoded: int = counter("page.encoded_batches")
+    encoded_bytes: dict[str, int] = counter(
+        "page.encoded_bytes", tag="codec",
+        default_factory=lambda: {name: 0 for name in CODEC_NAMES.values()},
     )
-
-    def __init__(self) -> None:
-        self.reset()
+    columns_decoded: int = counter()
+    values_decoded: int = counter()
+    batches_decoded: int = counter()
+    batches_skipped: int = counter("page.batches_skipped")
 
     def reset(self) -> None:
-        self.batches_encoded = 0
-        self.encoded_bytes = {name: 0 for name in CODEC_NAMES.values()}
-        self.columns_decoded = 0
-        self.values_decoded = 0
-        self.batches_decoded = 0
-        self.batches_skipped = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "batches_encoded": self.batches_encoded,
-            "encoded_bytes": dict(self.encoded_bytes),
-            "columns_decoded": self.columns_decoded,
-            "values_decoded": self.values_decoded,
-            "batches_decoded": self.batches_decoded,
-            "batches_skipped": self.batches_skipped,
-        }
+        self.__init__()
 
 
 #: Module-level singleton, like the value caches above: encoding is a

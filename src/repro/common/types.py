@@ -140,10 +140,6 @@ class Schema:
             )
         return TupleId(tuple(key_values), epoch, partition_width=len(self.partition_key))
 
-    def partition_hash_of(self, values: Sequence[Value]) -> int:
-        """Ring position of a full value tuple."""
-        return self.tuple_id_for(values, 0).hash_key
-
     def project(self, attributes: Sequence[str], new_name: str | None = None) -> "Schema":
         """Schema of a projection onto ``attributes`` (key becomes all attributes)."""
         return Schema(new_name or self.name, tuple(attributes), tuple(attributes)[:1])

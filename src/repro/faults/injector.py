@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..net.simnet import HostSpec, Message, Network
+from ..obs.counters import Counters, counter
 
 
 @dataclass(frozen=True)
@@ -62,35 +63,21 @@ CLEAN_LINK = LinkChaos()
 
 
 @dataclass
-class FaultStats:
+class FaultStats(Counters):
     """Counters for every fault decision the injector made."""
 
-    dropped: int = 0
-    duplicated: int = 0
-    delayed: int = 0
-    reordered: int = 0
-    blocked: int = 0
-    retransmits: int = 0
-    deduplicated: int = 0
-    abandoned: int = 0
-    partitions_started: int = 0
-    partitions_healed: int = 0
-    degradations: int = 0
-    corruptions_injected: int = 0
-
-    def snapshot(self) -> dict:
-        return dict(self.__dict__)
-
-    def to_dict(self) -> dict:
-        """Common stats-serialization protocol (see :mod:`repro.obs.metrics`)."""
-        return self.snapshot()
-
-    def metric_series(self):
-        """Registry samples: ``faults.dropped``, ``faults.retransmits``, ..."""
-        return [
-            (f"faults.{name}", {}, value)
-            for name, value in sorted(self.snapshot().items())
-        ]
+    dropped: int = counter("faults.dropped")
+    duplicated: int = counter("faults.duplicated")
+    delayed: int = counter("faults.delayed")
+    reordered: int = counter("faults.reordered")
+    blocked: int = counter("faults.blocked")
+    retransmits: int = counter("faults.retransmits")
+    deduplicated: int = counter("faults.deduplicated")
+    abandoned: int = counter("faults.abandoned")
+    partitions_started: int = counter("faults.partitions_started")
+    partitions_healed: int = counter("faults.partitions_healed")
+    degradations: int = counter("faults.degradations")
+    corruptions_injected: int = counter("faults.corruptions_injected")
 
 
 @dataclass(frozen=True)
@@ -192,9 +179,6 @@ class FaultInjector:
         self._link_chaos[(src, dst)] = chaos
         if bidirectional:
             self._link_chaos[(dst, src)] = chaos
-
-    def clear_link_chaos(self) -> None:
-        self._link_chaos.clear()
 
     def chaos_for(self, src: str, dst: str) -> LinkChaos:
         return self._link_chaos.get((src, dst), self.default_chaos)

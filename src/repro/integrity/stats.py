@@ -1,36 +1,42 @@
 """Counters for detection, quarantine, repair and scrub activity.
 
-Follows the repo-wide stats protocol (``snapshot``/``to_dict``/
-``metric_series``/``merge``) so the counters reconcile exactly with the
-metrics registry and fold into scenario reports and query profiles.
+Declared through :mod:`repro.obs.counters`, so the counters reconcile
+exactly with the metrics registry and fold into scenario reports and query
+profiles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..obs.counters import Counters, counter
 
 
 @dataclass
-class IntegrityStats:
+class IntegrityStats(Counters):
     """Live counters of one node's (or the cluster-level scrubber's) activity."""
 
     #: Detections by verification site: ``tuple``, ``page``, ``scan``,
     #: ``coordinator``, ``cache``, ``replication``, ``scrub``.
-    detected: dict[str, int] = field(default_factory=dict)
+    detected: dict[str, int] = counter(
+        "integrity.detected", tag="site", default_factory=dict
+    )
     #: Repairs by the path that back-filled verified bytes: ``failover``
     #: (read-repair through the replica chase), ``replication`` (anti-entropy
     #: re-copy), ``scrub`` (digest-exchange divergence repair).
-    repaired: dict[str, int] = field(default_factory=dict)
+    repaired: dict[str, int] = counter(
+        "integrity.repaired", tag="source", default_factory=dict
+    )
     #: Local copies failed loudly and removed pending repair.
-    quarantined: int = 0
+    quarantined: int = counter("integrity.quarantined")
     #: Keys for which no verified copy existed anywhere in the replica group.
-    unrepairable: int = 0
+    unrepairable: int = counter("integrity.unrepairable", per_query=False)
     #: Scrub rounds executed.
-    scrub_rounds: int = 0
+    scrub_rounds: int = counter("scrub.rounds", per_query=False)
     #: Digest entries exchanged by the scrubber.
-    scrub_digests: int = 0
+    scrub_digests: int = counter("scrub.digests", per_query=False)
     #: Scrub wire overhead: digest bytes plus repair-copy bytes.
-    scrub_bytes: int = 0
+    scrub_bytes: int = counter("scrub.bytes", per_query=False)
 
     def note_detected(self, site: str) -> None:
         self.detected[site] = self.detected.get(site, 0) + 1
@@ -46,47 +52,9 @@ class IntegrityStats:
     def repaired_total(self) -> int:
         return sum(self.repaired.values())
 
-    def merge(self, other: "IntegrityStats") -> None:
-        for site, count in other.detected.items():
-            self.detected[site] = self.detected.get(site, 0) + count
-        for source, count in other.repaired.items():
-            self.repaired[source] = self.repaired.get(source, 0) + count
-        self.quarantined += other.quarantined
-        self.unrepairable += other.unrepairable
-        self.scrub_rounds += other.scrub_rounds
-        self.scrub_digests += other.scrub_digests
-        self.scrub_bytes += other.scrub_bytes
-
-    def snapshot(self) -> dict:
-        return self.to_dict()
-
     def to_dict(self) -> dict:
         return {
-            "detected": dict(self.detected),
+            **self.snapshot(),
             "detected_total": self.detected_total,
-            "repaired": dict(self.repaired),
             "repaired_total": self.repaired_total,
-            "quarantined": self.quarantined,
-            "unrepairable": self.unrepairable,
-            "scrub_rounds": self.scrub_rounds,
-            "scrub_digests": self.scrub_digests,
-            "scrub_bytes": self.scrub_bytes,
         }
-
-    def metric_series(self):
-        """Registry samples: ``integrity.*`` and ``scrub.*``."""
-        samples = []
-        for site in sorted(self.detected):
-            samples.append(("integrity.detected", {"site": site}, self.detected[site]))
-        for source in sorted(self.repaired):
-            samples.append(
-                ("integrity.repaired", {"source": source}, self.repaired[source])
-            )
-        samples.extend([
-            ("integrity.quarantined", {}, self.quarantined),
-            ("integrity.unrepairable", {}, self.unrepairable),
-            ("scrub.rounds", {}, self.scrub_rounds),
-            ("scrub.digests", {}, self.scrub_digests),
-            ("scrub.bytes", {}, self.scrub_bytes),
-        ])
-        return samples

@@ -39,16 +39,6 @@ class NetworkProfile:
             failure_detection_delay=self.failure_detection_delay,
         )
 
-    def with_bandwidth(self, bytes_per_second: float) -> "NetworkProfile":
-        """Derive a profile with throttled per-node bandwidth (the HTB shaping
-        used for Figure 17)."""
-        return NetworkProfile(
-            name=f"{self.name}-bw{int(bytes_per_second)}",
-            host=self.host.scaled(bandwidth=bytes_per_second),
-            latency=self.latency,
-            failure_detection_delay=self.failure_detection_delay,
-        )
-
     def with_latency(self, latency_seconds: float) -> "NetworkProfile":
         """Derive a profile with added link latency (the NetEm shaping of
         Section VI-C)."""

@@ -298,9 +298,6 @@ class SimNode:
         """Register the handler invoked for messages of ``msg_type``."""
         self._handlers[msg_type] = handler
 
-    def unregister_handler(self, msg_type: str) -> None:
-        self._handlers.pop(msg_type, None)
-
     def add_failure_listener(self, listener: FailureListener) -> None:
         """Subscribe to peer-failure notifications (dropped-connection signal)."""
         self._failure_listeners.append(listener)
@@ -526,9 +523,6 @@ class Network:
             self.events_processed += 1
             event.action()
         return self.now
-
-    def pending_events(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
 
     # -- messaging -------------------------------------------------------------
 

@@ -85,9 +85,6 @@ class RpcEndpoint:
         """Register the handler for RPC method ``method``."""
         self._methods[method] = handler
 
-    def unregister(self, method: str) -> None:
-        self._methods.pop(method, None)
-
     def reset_volatile(self) -> None:
         """Drop per-connection state after a crash-restart.
 

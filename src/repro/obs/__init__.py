@@ -9,10 +9,12 @@ Three pillars, all on the simulator's virtual clock:
   numbers stay byte-identical), and every handler runs inside its message's
   span, so one operation yields one complete span tree.
 * :mod:`repro.obs.metrics` — a tagged Counter/Gauge/Histogram registry the
-  existing stats objects (``TrafficMeter``, ``SchedulerStats``,
-  ``CacheStats``, ``QueryStatistics``) export through with uniform naming
+  stats objects export through with uniform naming
   (``rpc.bytes{kind=...}``, ``scheduler.admitted{initiator=...}``,
   ``cache.hits{tier=...}``); snapshot it with ``Cluster.observability()``.
+  The per-layer stats declare their counters once with
+  :mod:`repro.obs.counters`, which derives their merge, snapshots,
+  registry samples and per-query attribution.
 * :mod:`repro.obs.profile` — per-operator rows/batches/bytes/virtual-time
   attributed from the span tree, via ``QueryStatistics.profile()``.
 

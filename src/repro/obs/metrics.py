@@ -6,13 +6,15 @@ or :class:`Histogram` holds one value per *tag set* (``rpc.bytes{kind=...}``,
 buckets are **fixed** and in virtual seconds — simulated latencies are
 deterministic, so adaptive buckets would only make runs harder to diff.
 
-The hot-path stats objects (``TrafficMeter``, ``SchedulerStats``,
-``CacheStats``, ``QueryStatistics``) keep their plain-dict internals — the
+The stats objects the hot path writes keep plain attributes — the
 simulator's inner loop should not pay instrument lookups — and instead
-expose a ``metric_series()`` view.  The registry pulls those through
-registered *collectors* at snapshot time, so ``Cluster.observability()``
-presents one uniformly-named view without a single extra instruction on the
-message path.
+expose a ``metric_series()`` view: the ``TrafficMeter`` by hand, and the
+six layer stats (``ResilienceStats``, ``IntegrityStats``, ``CacheStats``,
+``SchedulerStats``, ``FaultStats``, ``EncodingStats``) derived from their
+field declarations by :mod:`repro.obs.counters`.  The registry pulls those
+views through registered *collectors* at snapshot time, so
+``Cluster.observability()`` presents one uniformly-named view without a
+single extra instruction on the message path.
 
 Every stats object also speaks the common ``to_dict()`` protocol
 (:class:`SupportsToDict`); the registry's own export uses it too.

@@ -90,9 +90,6 @@ class QueryProfile:
     begin: float | None = None
     end: float | None = None
 
-    def operator_bytes(self) -> dict[int, int]:
-        return {row.op_id: row.bytes for row in self.operators}
-
     def to_dict(self) -> dict:
         return {
             "trace_id": self.trace_id,

@@ -153,10 +153,6 @@ class Tracer:
         """The context new sends parent onto, or ``None`` outside any span."""
         return self._stack[-1] if self._stack else None
 
-    def current_trace_id(self) -> int | None:
-        context = self.current()
-        return context.trace_id if context is not None else None
-
     def activate(self, span: Span) -> TraceContext:
         """Push ``span`` as the active context; returns the pop token."""
         context = TraceContext(span.trace_id, span.span_id)
@@ -293,9 +289,6 @@ class Tracer:
 
     def all_spans(self) -> list[Span]:
         return list(self.spans.values())
-
-    def trace_of_query(self, query_id: str) -> int | None:
-        return self.query_traces.get(query_id)
 
     def query_ids_of(self, trace_id: int) -> set[str]:
         """Every query id observed in a trace — a restarted query appears

@@ -515,9 +515,6 @@ class HashJoinOperator(RuntimeOperator):
                     del table[key]
         return dropped
 
-    def state_size(self) -> int:
-        return sum(len(rows) for table in self._tables for rows in table.values())
-
 
 # ---------------------------------------------------------------------------
 # Aggregation
@@ -850,9 +847,6 @@ class ExchangeSender(RuntimeOperator):
     def _reroute(self, entry: _CachedRow) -> tuple[str, int | None]:
         return self.route(entry.tagged)
 
-    def cache_size(self) -> int:
-        return len(self._cache)
-
 
 class RehashSender(ExchangeSender):
     """Partition the input across all participants by hashing key attributes.
@@ -1000,10 +994,6 @@ class ExchangeReceiver(RuntimeOperator):
                 return
         self.finished = True
         self.emit_eos()
-
-    def sender_failed(self, address: str) -> None:
-        """A sender failed: it will never send EOS, stop waiting for it."""
-        self._check_done()
 
     def reset_for_phase(self, phase: int) -> None:
         super().reset_for_phase(phase)

@@ -97,12 +97,6 @@ def tag_rows(
     return [TaggedRow(Row(attributes, values), origin, phase) for values in value_rows]
 
 
-def untainted(rows: Iterable[TaggedRow], failed: Iterable[str]) -> list[TaggedRow]:
-    """The subset of ``rows`` that does not depend on any failed node."""
-    failed_set = set(failed)
-    return [row for row in rows if not row.tainted_by(failed_set)]
-
-
 def batch_size(rows: Iterable[TaggedRow], with_provenance: bool = True) -> int:
     """Estimated wire size of a batch of tagged rows."""
     return sum(row.estimated_size(with_provenance) for row in rows)

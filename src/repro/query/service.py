@@ -31,6 +31,7 @@ from ..common.serialization import ENCODING_STATS, EncodedTupleBatch, TupleBatch
 from ..common.types import Value
 from ..net.simnet import SimNode
 from ..net.transport import RpcEndpoint, rpc_endpoint
+from ..obs.counters import fold_delta
 from ..overlay.membership import MembershipView
 from ..overlay.replication import replica_set
 from ..overlay.routing import RoutingSnapshot, physical_address
@@ -210,74 +211,6 @@ class QueryStatistics:
             if count:
                 self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + count
 
-    def _absorb_encoding(self, before: dict, after: dict) -> None:
-        """Fold one attempt's encoding-stats delta into the cumulative view."""
-        if not before:
-            return  # no launch-time snapshot (e.g. result-cache hit)
-        deltas = {
-            codec: count - before["encoded_bytes"].get(codec, 0)
-            for codec, count in after["encoded_bytes"].items()
-            if count - before["encoded_bytes"].get(codec, 0)
-        }
-        if deltas:
-            encoded = self.encoding.setdefault("encoded_bytes", {})
-            for codec, delta in deltas.items():
-                encoded[codec] = encoded.get(codec, 0) + delta
-        for counter in (
-            "batches_encoded", "batches_decoded", "batches_skipped",
-            "columns_decoded", "values_decoded",
-        ):
-            delta = after[counter] - before[counter]
-            if delta:
-                self.encoding[counter] = self.encoding.get(counter, 0) + delta
-
-    def _absorb_resilience(self, before: dict, after: dict) -> None:
-        """Fold one attempt's resilience-stats delta into the cumulative view.
-
-        ``before``/``after`` are merged cluster-wide snapshots (the resilience
-        layer, like :data:`~repro.common.serialization.ENCODING_STATS`, keeps
-        live process-side counters), so the delta attributes every hedge and
-        retry that fired while this query's attempt was in flight.
-        """
-        if not before:
-            return  # resilience disabled, or no launch-time snapshot
-        for counter in ("calls", "retries", "timeouts", "breaker_skips"):
-            delta = after[counter] - before[counter]
-            if delta:
-                self.resilience[counter] = self.resilience.get(counter, 0) + delta
-        deltas = {
-            outcome: count - before["hedges"].get(outcome, 0)
-            for outcome, count in after["hedges"].items()
-            if count - before["hedges"].get(outcome, 0)
-        }
-        if deltas:
-            hedges = self.resilience.setdefault("hedges", {})
-            for outcome, delta in deltas.items():
-                hedges[outcome] = hedges.get(outcome, 0) + delta
-
-    def _absorb_integrity(self, before: dict, after: dict) -> None:
-        """Fold one attempt's integrity-stats delta into the cumulative view.
-
-        ``before``/``after`` are merged cluster-wide snapshots, so every
-        corruption this query's reads surfaced — and every read-repair its
-        failover performed — is attributed to it.
-        """
-        if not before:
-            return  # integrity disabled, or no launch-time snapshot
-        for tagged in ("detected", "repaired"):
-            deltas = {
-                key: count - before[tagged].get(key, 0)
-                for key, count in after[tagged].items()
-                if count - before[tagged].get(key, 0)
-            }
-            if deltas:
-                folded = self.integrity.setdefault(tagged, {})
-                for key, delta in deltas.items():
-                    folded[key] = folded.get(key, 0) + delta
-        delta = after["quarantined"] - before["quarantined"]
-        if delta:
-            self.integrity["quarantined"] = self.integrity.get("quarantined", 0) + delta
-
 
 @dataclass
 class QueryResult:
@@ -289,9 +222,6 @@ class QueryResult:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def as_dicts(self) -> list[dict[str, Value]]:
-        return [dict(zip(self.attributes, row)) for row in self.rows]
 
 
 @dataclass
@@ -316,9 +246,6 @@ class _ScanSpec:
 
     def key_predicate_function(self) -> Callable[[tuple[Value, ...]], bool] | None:
         return None if self.key_predicate is None else self.key_predicate.compile()
-
-    def index_nodes(self) -> list[str]:
-        return sorted(self.pages_by_index_node.keys())
 
     def estimated_size(self) -> int:
         """Wire size of this spec inside a ``query.start`` payload.
@@ -675,12 +602,6 @@ class _NodeQueryContext:
         if not pending:
             self._complete_scan(scan_op_id)
 
-    def drop_failed_scan_producers(self, failed: set[str]) -> None:
-        for scan_op_id, pending in self._pending_scan_done.items():
-            pending -= {token for token in pending if token[0] in failed}
-            if not pending:
-                self._complete_scan(scan_op_id)
-
     def begin_scan_fetch(self, scan_op_id: int) -> None:
         self._scan_fetches[scan_op_id] = self._scan_fetches.get(scan_op_id, 0) + 1
 
@@ -723,14 +644,9 @@ class _ActiveQuery:
     phase: int = 0
     completed: bool = False
     traffic_start: object = None
-    #: ENCODING_STATS snapshot at launch; deltas feed ``statistics.encoding``.
-    encoding_start: dict = field(default_factory=dict)
-    #: Merged resilience-stats snapshot at launch (empty when the cluster has
-    #: no resilience layer); deltas feed ``statistics.resilience``.
-    resilience_start: dict = field(default_factory=dict)
-    #: Merged integrity-stats snapshot at launch (empty when the cluster has
-    #: no integrity layer); deltas feed ``statistics.integrity``.
-    integrity_start: dict = field(default_factory=dict)
+    #: :meth:`QueryService._counter_totals` at launch; the deltas feed the
+    #: statistics' ``encoding``/``resilience``/``integrity`` dicts.
+    counters_start: dict = field(default_factory=dict)
     #: Canonical plan fingerprint (None when result caching is off) and one
     #: ``(relation, resolved epoch, pinned epoch)`` triple per leaf scan,
     #: recorded so the finished result can enter the semantic cache with
@@ -899,45 +815,34 @@ class QueryService:
         """Cluster-unique query id, namespaced by the initiating node."""
         return f"{self.node.address}/q{next(self._query_ids)}"
 
-    def _resilience_totals(self) -> dict:
-        """Merged cluster-wide resilience-stats snapshot (empty if disabled).
+    def _counter_totals(self) -> dict[str, dict]:
+        """Cluster-wide query snapshots of the per-query counters, by layer.
 
-        The per-node stats objects are process-side observers (exactly like
-        :data:`ENCODING_STATS`), so reading them here does not touch the
-        simulated wire; the launch/finish delta attributes hedges and retries
-        to the query that was in flight.
+        :data:`ENCODING_STATS` plus the merged per-node resilience and
+        integrity stats of the layers the cluster runs.  All are process-side
+        observers, so reading them does not touch the simulated wire; the
+        launch/finish delta attributes their movement to the query in flight.
         """
-        merged = None
+        merged = {}
         for peer in self.node.network.nodes.values():
-            resilience = peer.services.get("resilience")
-            if resilience is None:
-                continue
-            if merged is None:
-                from ..resilience import ResilienceStats
+            for layer, component in (
+                ("resilience", peer.services.get("resilience")),
+                ("integrity", getattr(peer.services.get("storage"), "integrity", None)),
+            ):
+                if component is None:
+                    continue
+                if layer not in merged:
+                    merged[layer] = type(component.stats)()
+                merged[layer].merge(component.stats)
+        totals = {layer: stats.query_snapshot() for layer, stats in merged.items()}
+        totals["encoding"] = ENCODING_STATS.query_snapshot()
+        return totals
 
-                merged = ResilienceStats()
-            merged.merge(resilience.stats)
-        return merged.snapshot() if merged is not None else {}
-
-    def _integrity_totals(self) -> dict:
-        """Merged cluster-wide integrity-stats snapshot (empty if disabled).
-
-        Same process-side-observer pattern as :meth:`_resilience_totals`: the
-        launch/finish delta attributes detections and read-repairs to the
-        query whose reads surfaced them.
-        """
-        merged = None
-        for peer in self.node.network.nodes.values():
-            storage = peer.services.get("storage")
-            integrity = getattr(storage, "integrity", None)
-            if integrity is None:
-                continue
-            if merged is None:
-                from ..integrity import IntegrityStats
-
-                merged = IntegrityStats()
-            merged.merge(integrity.stats)
-        return merged.snapshot() if merged is not None else {}
+    def _fold_counters(self, active: _ActiveQuery) -> None:
+        """Attribute one attempt's counter deltas to its query's statistics."""
+        after = self._counter_totals()
+        for layer, before in active.counters_start.items():
+            fold_delta(getattr(active.statistics, layer), before, after[layer])
 
     def reset_volatile(self) -> None:
         """Drop all in-flight query state after a crash-restart.
@@ -1107,9 +1012,7 @@ class QueryService:
             on_complete=on_complete,
             statistics=statistics,
             traffic_start=self.node.network.traffic.snapshot(),
-            encoding_start=ENCODING_STATS.snapshot(),
-            resilience_start=self._resilience_totals(),
-            integrity_start=self._integrity_totals(),
+            counters_start=self._counter_totals(),
             fingerprint=fingerprint,
             scans=scanned,
             cache_publish_seq=cache_publish_seq,
@@ -1640,15 +1543,7 @@ class QueryService:
         active.statistics.completed_at = network.now
         traffic = active.traffic_start.delta(network.traffic.snapshot())
         active.statistics._absorb_traffic(traffic)
-        active.statistics._absorb_encoding(
-            active.encoding_start, ENCODING_STATS.snapshot()
-        )
-        active.statistics._absorb_resilience(
-            active.resilience_start, self._resilience_totals()
-        )
-        active.statistics._absorb_integrity(
-            active.integrity_start, self._integrity_totals()
-        )
+        self._fold_counters(active)
         active.statistics.rows_shipped = active.collector.rows_received
         result = QueryResult(
             attributes=active.plan.output_attributes(),
@@ -1836,9 +1731,7 @@ class QueryService:
         aborted_traffic = active.traffic_start.delta(self.node.network.traffic.snapshot())
         statistics = active.statistics
         statistics._absorb_traffic(aborted_traffic)
-        statistics._absorb_encoding(active.encoding_start, ENCODING_STATS.snapshot())
-        statistics._absorb_resilience(active.resilience_start, self._resilience_totals())
-        statistics._absorb_integrity(active.integrity_start, self._integrity_totals())
+        self._fold_counters(active)
         statistics.restarts += 1
 
         def relaunch() -> None:

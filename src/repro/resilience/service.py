@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ..net.simnet import SimNode
 from ..net.transport import RpcEndpoint, rpc_endpoint
-from .breaker import OPEN, BREAKER_STATES, CircuitBreaker, RetryBudget
+from .breaker import OPEN, CircuitBreaker, RetryBudget
 from .config import ResilienceConfig
 from .latency import LatencyEstimator
 from .stats import ResilienceStats
@@ -384,20 +384,6 @@ class NodeResilience:
     def breaker_states(self) -> dict[str, str]:
         now = self.network.now
         return {peer: breaker.state(now) for peer, breaker in sorted(self._breakers.items())}
-
-    def metric_series(self):
-        """Registry samples: the stats counters plus per-peer breaker gauges."""
-        samples = list(self.stats.metric_series())
-        for peer, state in self.breaker_states().items():
-            samples.append(("breaker.state", {"peer": peer}, BREAKER_STATES[state]))
-        return samples
-
-    def to_dict(self) -> dict:
-        return {
-            "stats": self.stats.snapshot(),
-            "budget": self.retry_budget.to_dict(),
-            "breakers": self.breaker_states(),
-        }
 
 
 class _FailoverCall:

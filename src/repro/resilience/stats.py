@@ -3,12 +3,14 @@
 The observability satellite requires these to reconcile *exactly* with the
 ``rpc.hedges{outcome=...}`` / ``rpc.retries`` metrics the cluster registry
 reports — so this object is the single source of truth and the registry
-samples are derived views over it (same pattern as ``FaultStats``).
+samples are derived views over it (see :mod:`repro.obs.counters`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..obs.counters import Counters, counter
 
 #: Hedge outcomes: the duplicate attempt won the race, lost it, or was never
 #: sent because the retry budget or the target's breaker said no.
@@ -16,22 +18,23 @@ HEDGE_OUTCOMES = ("won", "lost", "suppressed_budget", "suppressed_breaker")
 
 
 @dataclass
-class ResilienceStats:
+class ResilienceStats(Counters):
     """Per-node resilience counters (aggregated cluster-wide by the registry)."""
 
     #: Primary attempts issued through the hedged-failover helper.
-    calls: int = 0
+    calls: int = counter()
     #: Failover re-attempts after a definite failure (refused / timed out).
-    retries: int = 0
+    retries: int = counter("rpc.retries")
     #: Adaptive per-RPC timeouts that fired.
-    timeouts: int = 0
-    #: Heartbeat probes sent and replies received.
-    heartbeats_sent: int = 0
-    heartbeats_received: int = 0
+    timeouts: int = counter("rpc.adaptive_timeouts")
+    #: Heartbeat probes sent and replies received (background, not per query).
+    heartbeats_sent: int = counter("rpc.heartbeats_sent", per_query=False)
+    heartbeats_received: int = counter("rpc.heartbeats_received", per_query=False)
     #: Calls skipped because the target's breaker was open.
-    breaker_skips: int = 0
-    hedges: dict[str, int] = field(
-        default_factory=lambda: {outcome: 0 for outcome in HEDGE_OUTCOMES}
+    breaker_skips: int = counter("rpc.breaker_skips")
+    hedges: dict[str, int] = counter(
+        "rpc.hedges", tag="outcome",
+        default_factory=lambda: {outcome: 0 for outcome in HEDGE_OUTCOMES},
     )
 
     def record_hedge(self, outcome: str) -> None:
@@ -42,41 +45,3 @@ class ResilienceStats:
     @property
     def hedges_launched(self) -> int:
         return self.hedges["won"] + self.hedges["lost"]
-
-    def merge(self, other: "ResilienceStats") -> None:
-        self.calls += other.calls
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.heartbeats_sent += other.heartbeats_sent
-        self.heartbeats_received += other.heartbeats_received
-        self.breaker_skips += other.breaker_skips
-        for outcome, count in other.hedges.items():
-            self.hedges[outcome] = self.hedges.get(outcome, 0) + count
-
-    def snapshot(self) -> dict:
-        return {
-            "calls": self.calls,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "heartbeats_sent": self.heartbeats_sent,
-            "heartbeats_received": self.heartbeats_received,
-            "breaker_skips": self.breaker_skips,
-            "hedges": dict(self.hedges),
-        }
-
-    def to_dict(self) -> dict:
-        """Common stats-serialization protocol (see :mod:`repro.obs.metrics`)."""
-        return self.snapshot()
-
-    def metric_series(self):
-        """Registry samples: ``rpc.hedges{outcome=...}``, ``rpc.retries``, ..."""
-        samples = [
-            ("rpc.retries", {}, self.retries),
-            ("rpc.adaptive_timeouts", {}, self.timeouts),
-            ("rpc.breaker_skips", {}, self.breaker_skips),
-            ("rpc.heartbeats_sent", {}, self.heartbeats_sent),
-            ("rpc.heartbeats_received", {}, self.heartbeats_received),
-        ]
-        for outcome in sorted(self.hedges):
-            samples.append(("rpc.hedges", {"outcome": outcome}, self.hedges[outcome]))
-        return samples

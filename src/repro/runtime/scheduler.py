@@ -24,14 +24,14 @@ and otherwise inside the completion callback that frees a slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..net.simnet import Network
+from ..obs.counters import Counters, counter
 from .futures import (
     PENDING,
     QUEUED,
-    RUNNING,
     AdmissionRejectedError,
     DeadlineExceededError,
     OpFuture,
@@ -96,89 +96,38 @@ class SchedulerConfig:
 
 
 @dataclass
-class SchedulerStats:
+class SchedulerStats(Counters):
     """Counters for everything the scheduler decided."""
 
-    submitted: int = 0
-    admitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    cancelled: int = 0
-    timed_out: int = 0
+    submitted: int = counter("scheduler.submitted")
+    admitted: int = counter("scheduler.admitted")
+    completed: int = counter("scheduler.completed")
+    failed: int = counter("scheduler.failed")
+    rejected: int = counter("scheduler.rejected")
+    cancelled: int = counter("scheduler.cancelled")
+    timed_out: int = counter("scheduler.timed_out")
     #: Currently running / currently waiting operations.
-    in_flight: int = 0
-    queued: int = 0
+    in_flight: int = counter("scheduler.in_flight")
+    queued: int = counter("scheduler.queued")
     #: High-water marks, the quantities the admission caps are judged by.
-    max_in_flight: int = 0
-    peak_queued: int = 0
+    max_in_flight: int = counter("scheduler.max_in_flight")
+    peak_queued: int = counter("scheduler.peak_queued")
     #: Deadline-aware shedding: entries dropped because their remaining
     #: budget could not cover the estimated service time (``shed_deadline``)
     #: or, under brownout, the service time plus the expected queue wait
     #: (``shed_brownout``).  Both are sub-reasons of ``failed``.
-    shed_deadline: int = 0
-    shed_brownout: int = 0
+    shed_deadline: int = counter("scheduler.shed", tags={"reason": "deadline"})
+    shed_brownout: int = counter("scheduler.shed", tags={"reason": "brownout"})
     #: Times the scheduler entered brownout, and whether it is in it now.
-    brownouts: int = 0
-    brownout_active: bool = False
-    admitted_by_initiator: dict[str, int] = field(default_factory=dict)
+    brownouts: int = counter("scheduler.brownouts")
+    brownout_active: bool = counter("scheduler.brownout_active", default=False)
+    admitted_by_initiator: dict[str, int] = counter(
+        "scheduler.admitted", tag="initiator", default_factory=dict
+    )
 
     @property
     def shed(self) -> int:
         return self.shed_deadline + self.shed_brownout
-
-    def snapshot(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "cancelled": self.cancelled,
-            "timed_out": self.timed_out,
-            "in_flight": self.in_flight,
-            "queued": self.queued,
-            "max_in_flight": self.max_in_flight,
-            "peak_queued": self.peak_queued,
-            "shed_deadline": self.shed_deadline,
-            "shed_brownout": self.shed_brownout,
-            "brownouts": self.brownouts,
-            "brownout_active": self.brownout_active,
-            "admitted_by_initiator": dict(self.admitted_by_initiator),
-        }
-
-    def to_dict(self) -> dict:
-        """Common stats-serialization protocol (see :mod:`repro.obs.metrics`)."""
-        return self.snapshot()
-
-    def metric_series(self):
-        """Registry samples: ``scheduler.admitted{initiator=...}`` etc."""
-        samples = [
-            ("scheduler.submitted", {}, self.submitted),
-            ("scheduler.admitted", {}, self.admitted),
-            ("scheduler.completed", {}, self.completed),
-            ("scheduler.failed", {}, self.failed),
-            ("scheduler.rejected", {}, self.rejected),
-            ("scheduler.cancelled", {}, self.cancelled),
-            ("scheduler.timed_out", {}, self.timed_out),
-            ("scheduler.in_flight", {}, self.in_flight),
-            ("scheduler.queued", {}, self.queued),
-            ("scheduler.max_in_flight", {}, self.max_in_flight),
-            ("scheduler.peak_queued", {}, self.peak_queued),
-            ("scheduler.shed", {"reason": "deadline"}, self.shed_deadline),
-            ("scheduler.shed", {"reason": "brownout"}, self.shed_brownout),
-            ("scheduler.brownouts", {}, self.brownouts),
-            ("scheduler.brownout_active", {}, int(self.brownout_active)),
-        ]
-        for initiator in sorted(self.admitted_by_initiator):
-            samples.append(
-                (
-                    "scheduler.admitted",
-                    {"initiator": initiator},
-                    self.admitted_by_initiator[initiator],
-                )
-            )
-        return samples
 
 
 @dataclass
@@ -218,10 +167,6 @@ class Scheduler:
         self._service_estimates: dict[str, float] = {}
 
     # -- deadline-aware shedding --------------------------------------------------
-
-    def service_estimate(self, op_type: str) -> float | None:
-        """Current smoothed service-time estimate for ``op_type`` (if any)."""
-        return self._service_estimates.get(op_type)
 
     def _observe_service_time(self, future: OpFuture) -> None:
         # Runs inside ``_resolve`` before the future's ``completed_at`` is
@@ -595,10 +540,3 @@ class Scheduler:
     @property
     def in_flight(self) -> int:
         return len(self._running)
-
-    @property
-    def queue_depth(self) -> int:
-        return self.stats.queued
-
-    def running_ops(self) -> list[OpFuture]:
-        return [f for f in self._running if f.state == RUNNING]

@@ -297,14 +297,6 @@ class StorageService:
                        size=record.estimated_size())
         self._record_checksum(_COORD_TREE, (record.relation, record.epoch), record)
 
-    def local_tuples_in_range(self, relation: str, hash_range) -> list[VersionedTuple]:
-        """All locally stored tuple versions of ``relation`` within ``hash_range``."""
-        result = []
-        for (rel, hash_key, _tid), tup in self.store.items(_TUPLE_TREE):
-            if rel == relation and hash_range.contains(hash_key):
-                result.append(tup)
-        return result
-
     def all_local_tuples(self, relation: str | None = None) -> list[VersionedTuple]:
         return [
             tup

@@ -1,10 +1,13 @@
 """The common stats surface: ``to_dict()`` everywhere, zero-free deltas."""
 
 from repro.cache.stats import CacheStats
+from repro.common.serialization import EncodingStats
 from repro.faults.injector import FaultStats
+from repro.integrity.stats import IntegrityStats
 from repro.net.simnet import TrafficMeter
 from repro.obs.metrics import SupportsToDict, format_series
 from repro.query.service import QueryStatistics
+from repro.resilience.stats import ResilienceStats
 from repro.runtime.scheduler import SchedulerStats
 
 
@@ -12,9 +15,12 @@ class TestToDictProtocol:
     def test_every_stats_object_speaks_to_dict(self):
         for stats in (
             TrafficMeter(),
-            SchedulerStats(),
+            ResilienceStats(),
+            IntegrityStats(),
             CacheStats(),
+            SchedulerStats(),
             FaultStats(),
+            EncodingStats(),
             QueryStatistics(started_at=0.0),
         ):
             assert isinstance(stats, SupportsToDict)
@@ -78,6 +84,6 @@ class TestMetricSeries:
         stats = CacheStats()
         stats.hits += 1
         names = {
-            format_series(name, tags) for name, tags, _ in stats.metric_series("node")
+            format_series(name, tags) for name, tags, _ in stats.metric_series(tier="node")
         }
         assert "cache.hits{tier=node}" in names
