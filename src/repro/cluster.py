@@ -186,6 +186,7 @@ class Cluster:
         self.metrics.register_collector(ENCODING_STATS.metric_series)
         self.metrics.register_collector(self._resilience_series)
         self.metrics.register_collector(self._integrity_series)
+        self.metrics.register_collector(self._query_series)
         for address in self.addresses:
             sim_node = self.network.add_node(address, profile.host)
             rpc_endpoint(sim_node)
@@ -307,12 +308,13 @@ class Cluster:
         """One uniformly-named snapshot of everything the cluster measures.
 
         ``metrics`` is the flat ``{"name{tags}": value}`` view over the
-        seven registered collectors: the traffic meter, the scheduler, the
+        eight registered collectors: the traffic meter, the scheduler, the
         cache tiers, the fault injector, the encoding pipeline, the
-        resilience layer and the integrity layer (``rpc.bytes{kind=...}``,
-        ``scheduler.admitted{initiator=...}``, ``cache.hits{tier=...}``,
-        ``page.encoded_bytes{codec=...}``, ``rpc.hedges{outcome=...}``,
-        ``integrity.detected{site=...}``, ...); ``tracing`` summarises the
+        resilience layer, the integrity layer and the query services
+        (``rpc.bytes{kind=...}``, ``scheduler.admitted{initiator=...}``,
+        ``cache.hits{tier=...}``, ``page.encoded_bytes{codec=...}``,
+        ``rpc.hedges{outcome=...}``, ``integrity.detected{site=...}``,
+        ``query.snapshot_fetches``, ...); ``tracing`` summarises the
         installed tracer, if any.
         """
         tracer = self.network.tracer
@@ -389,18 +391,29 @@ class Cluster:
             return []
         return self.integrity_statistics().metric_series()
 
-    def _merged(self, stats_class, layer: str):
-        """The sum of every node's ``layer`` component's stats."""
+    def _query_series(self):
+        if not self._query_services:
+            return []
+        from .query.service import QueryServiceStats
+
+        return self._merged(QueryServiceStats, self._query_services.values()).metric_series()
+
+    def _components(self, layer: str) -> list:
+        """Every node's ``layer`` component (None where the layer is off)."""
+        return [getattr(cluster_node, layer) for cluster_node in self.nodes.values()]
+
+    def _merged(self, stats_class, components):
+        """The sum of ``components``' stats (absent components skipped)."""
         total = stats_class()
-        for cluster_node in self.nodes.values():
-            component = getattr(cluster_node, layer)
+        for component in components:
             if component is not None:
                 total.merge(component.stats)
         return total
 
     def integrity_statistics(self) -> IntegrityStats:
         """Cluster-wide integrity counters, aggregated over all nodes."""
-        return self._merged(IntegrityStats, "integrity").merge(self._scrub_stats)
+        total = self._merged(IntegrityStats, self._components("integrity"))
+        return total.merge(self._scrub_stats)
 
     @property
     def integrity_enabled(self) -> bool:
@@ -416,7 +429,7 @@ class Cluster:
 
     def resilience_statistics(self) -> ResilienceStats:
         """Cluster-wide resilience counters, aggregated over all nodes."""
-        return self._merged(ResilienceStats, "resilience")
+        return self._merged(ResilienceStats, self._components("resilience"))
 
     def start_resilience_heartbeats(self, duration: float) -> int:
         """Schedule heartbeat probe trains on every live node for ``duration``.
@@ -592,34 +605,40 @@ class Cluster:
         exchange of the PAST-style replicator.
         """
         snapshot = self.snapshot()
+        # ``(address, item key) -> tuple-tree store key`` of every listed
+        # copy.  A copy's source was listed in the same replica group, so the
+        # copy reads that one entry instead of walking the relation.
+        store_keys: dict[tuple[str, object], tuple] = {}
 
         def list_items(address: str, key_range) -> dict[object, int]:
             service = self.storage(address)
-            return {
-                (tup.relation, tup.tuple_id.key_values, tup.tuple_id.epoch): tup.estimated_size()
-                for tup in service.all_local_tuples()
-                if key_range.contains(tup.hash_key)
-            }
+            items: dict[object, int] = {}
+            for tup in service.all_local_tuples():
+                if key_range.contains(tup.hash_key):
+                    key = (tup.relation, tup.tuple_id.key_values, tup.tuple_id.epoch)
+                    items[key] = tup.estimated_size()
+                    store_keys[address, key] = (tup.relation, tup.hash_key, tup.tuple_id)
+            return items
 
         def copy_item(src: str, dst: str, key) -> int:
-            relation, key_values, epoch = key
             source = self.storage(src)
-            for tup in source.all_local_tuples(relation):
-                if tup.tuple_id.key_values == key_values and tup.tuple_id.epoch == epoch:
-                    store_key = (tup.relation, tup.hash_key, tup.tuple_id)
-                    if source.integrity is not None and not source.integrity.verify(
-                        source.store, "tuples", store_key, tup, "replication",
-                        node=source.node,
-                    ):
-                        # The source copy itself is rotten: don't propagate it.
-                        # It is quarantined now; the scrubber (or a later
-                        # round from a clean holder) back-fills both sides.
-                        return 0
-                    destination = self.storage(dst)
-                    with _repair_attribution(destination.integrity, "replication"):
-                        destination.store_tuple(tup)
-                    return tup.estimated_size()
-            return 0
+            store_key = store_keys.get((src, key))
+            # A copy quarantined or deleted since the listing reads as absent.
+            tup = None if store_key is None else source.store.get("tuples", store_key)
+            if tup is None:
+                return 0
+            if source.integrity is not None and not source.integrity.verify(
+                source.store, "tuples", store_key, tup, "replication",
+                node=source.node,
+            ):
+                # The source copy itself is rotten: don't propagate it.
+                # It is quarantined now; the scrubber (or a later
+                # round from a clean holder) back-fills both sides.
+                return 0
+            destination = self.storage(dst)
+            with _repair_attribution(destination.integrity, "replication"):
+                destination.store_tuple(tup)
+            return tup.estimated_size()
 
         replicator = BackgroundReplicator(self.replication_factor, list_items, copy_item)
         return replicator.run_round(snapshot)
@@ -739,8 +758,8 @@ class Cluster:
         semantic result caches.  Empty stats when caching is disabled.
         """
         return {
-            "node": self._merged(CacheStats, "cache"),
-            "result": self._merged(CacheStats, "result_cache"),
+            "node": self._merged(CacheStats, self._components("cache")),
+            "result": self._merged(CacheStats, self._components("result_cache")),
         }
 
     def cache_bytes(self) -> dict[str, int]:

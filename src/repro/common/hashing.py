@@ -11,6 +11,7 @@ This module provides:
 
 * :data:`KEY_SPACE_BITS` / :data:`KEY_SPACE_SIZE` — the ring geometry.
 * :func:`sha1_key` — hash arbitrary values onto the ring.
+* :func:`sha1_digest` — a 16-byte (truncated SHA-1) content digest of a value.
 * :func:`node_id_for` — the DHT identifier of a node (hash of its address).
 * :class:`KeyRange` — a half-open, possibly wrapping arc of the ring, with the
   membership, splitting and midpoint operations the storage layer relies on
@@ -125,6 +126,16 @@ def sha1_key(value: object) -> int:
             del cache[stale]
     cache[key] = result
     return result
+
+
+def sha1_digest(value: object) -> bytes:
+    """The first 16 bytes of the SHA-1 of ``value``.
+
+    Same input encoding as :func:`sha1_key`, but unmemoised and returned as
+    bytes: for content digests of one-off values (a routing snapshot's
+    ranges) that would only churn the placement memo.
+    """
+    return hashlib.sha1(_to_bytes(value)).digest()[:16]
 
 
 def sha1_cache_size() -> int:

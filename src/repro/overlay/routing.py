@@ -7,22 +7,26 @@ under the active allocation strategy.
 
 Query execution (Section V) never consults the live table directly: the query
 initiator takes an immutable :class:`RoutingSnapshot` when the query starts
-and disseminates it with the plan, so that every participant uses exactly the
-same key → node assignment for the lifetime of the query even if membership
-changes mid-flight.  After a failure, the initiator derives a *new* snapshot
-from the old one with :meth:`RoutingSnapshot.reassign_failed`, which spreads
-each failed node's range over the replicas of its data — this is the first
-stage of incremental recovery (Section V-D).
+and ships its 16-byte :attr:`RoutingSnapshot.digest` with the plan.  A
+participant whose own snapshot has the same digest runs under it; one whose
+view differs fetches the initiator's snapshot.  Either way every participant
+uses exactly the same key → node assignment for the lifetime of the query
+even if membership changes mid-flight.  After a failure, the initiator
+derives a *new* snapshot from the old one with
+:meth:`RoutingSnapshot.reassign_failed`, which spreads each failed node's
+range over the replicas of its data — this is the first stage of incremental
+recovery (Section V-D).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ..common.errors import RoutingError
-from ..common.hashing import KEY_SPACE_MASK, KeyRange, node_id_for
+from ..common.hashing import KEY_SPACE_MASK, KeyRange, node_id_for, sha1_digest
 from .allocation import BalancedAllocation, RangeAllocator
 
 
@@ -66,7 +70,6 @@ class RoutingSnapshot:
         self._neighbour_cache: dict[tuple[str, int, bool], list[str]] = {}
         self._replica_cache: dict[tuple[str, int], list[str]] = {}
         self._physical_cache: tuple[str, ...] | None = None
-        self._owner_tables = self._build_owner_tables()
 
     # -- basic accessors --------------------------------------------------------
 
@@ -110,6 +113,22 @@ class RoutingSnapshot:
             cached = self._physical_cache = tuple(ordered)
         return cached
 
+    @cached_property
+    def digest(self) -> bytes:
+        """16-byte content digest of the key → node assignment.
+
+        A truncated SHA-1 over ``address start end`` of every non-empty range
+        in ring order (``(start, address)``, a canonical order) — exactly
+        what routing depends on.  The version is left out: it is a per-node
+        counter, and two nodes whose ranges are equal route identically.
+        Computed once (the snapshot is immutable).
+        """
+        ranges = self._ranges
+        return sha1_digest("\0".join([
+            "%s\0%x\0%x" % (address, start, ranges[address].end)
+            for start, address in self._ordered
+        ]))
+
     # -- lookups ---------------------------------------------------------------
 
     def owner_of(self, key: int) -> str:
@@ -134,9 +153,12 @@ class RoutingSnapshot:
                 return address
         raise RoutingError(f"no node owns key {key}")
 
-    def _build_owner_tables(self) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    @cached_property
+    def _owner_tables(self) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
         """Owner entry and physical owner by ``bisect_right(self._starts,
-        key)``, or None for a non-tiling allocation.
+        key)``, or None for a non-tiling allocation.  Built on first use:
+        only batched routing (:meth:`owners_of`) reads them, and most
+        snapshots — a query participant's own view, say — never route a batch.
 
         The tables are valid only when the ranges *tile* the ring in start
         order — every entry's range ends exactly where the next entry's

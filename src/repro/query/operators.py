@@ -970,10 +970,12 @@ class ExchangeReceiver(RuntimeOperator):
             append(row if new_nodes is nodes else TaggedRow(row.row, new_nodes, row.phase))
         self.emit(tagged_here)
 
-    def sender_eos(self, sender: str, phase: int = 0) -> None:
-        self._eos_senders.add((sender, phase))
+    def sender_eos(self, senders: Sequence[str], phase: int = 0) -> None:
+        """Credit end-of-stream from ``senders`` — one sender's own EOS, or
+        an initiator relay's set — with one completion check per call."""
+        self._eos_senders.update((sender, phase) for sender in senders)
         if self._pending is not None and self._pending_phase == phase:
-            self._pending.discard(sender)
+            self._pending.difference_update(senders)
         self._check_done()
 
     def _check_done(self) -> None:

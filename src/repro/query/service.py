@@ -2,20 +2,24 @@
 
 One :class:`QueryService` runs on every node.  It plays two roles:
 
-* **participant** — it receives the plan + routing snapshot from a query
-  initiator, instantiates the local operator fragment, performs the index-node
-  and data-node sides of the leaf scans, exchanges data and end-of-stream
-  messages with the other participants, and executes recovery instructions;
+* **participant** — it receives the plan + routing-snapshot digest from a
+  query initiator, runs under its own snapshot when the digests agree (and
+  fetches the initiator's otherwise), instantiates the local operator
+  fragment, performs the index-node and data-node sides of the leaf scans,
+  exchanges data and end-of-stream messages with the other participants, and
+  executes recovery instructions;
 * **initiator (coordinator)** — for queries submitted locally it resolves the
   scanned relation versions, takes the routing snapshot, disseminates the
   plan, collects the shipped results, detects participant failures through the
   transport layer, and drives either a full restart or the four-stage
   incremental recovery of Section V-D.
 
-All communication uses one-way casts; completion is tracked with the
-end-of-stream protocol described in the paper (scans → rehash → ship), so the
-initiator knows the result is complete exactly when every participant has
-reported end-of-stream for the final ship exchange.
+All communication uses one-way casts, except the one ``query.snapshot``
+request a participant whose membership view disagrees with the initiator's
+makes at start; completion is tracked with the end-of-stream protocol
+described in the paper (scans → rehash → ship), so the initiator knows the
+result is complete exactly when every participant has reported end-of-stream
+for the final ship exchange.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from ..common.serialization import ENCODING_STATS, EncodedTupleBatch, TupleBatch
 from ..common.types import Value
 from ..net.simnet import SimNode
 from ..net.transport import RpcEndpoint, rpc_endpoint
-from ..obs.counters import fold_delta
+from ..obs.counters import Counters, counter, fold_delta
 from ..overlay.membership import MembershipView
 from ..overlay.replication import replica_set
 from ..overlay.routing import RoutingSnapshot, physical_address
@@ -379,11 +383,12 @@ class _ResultCollector:
         else:
             self._rows.extend(live)
 
-    def sender_eos(self, sender: str, phase: int = 0) -> None:
-        self._eos_by_phase.setdefault(phase, set()).add(sender)
+    def sender_eos(self, senders: Sequence[str], phase: int = 0) -> None:
+        """Credit end-of-stream from ``senders`` (one, or a relay's set)."""
+        self._eos_by_phase.setdefault(phase, set()).update(senders)
         pending = self._pending.get(phase)
         if pending is not None:
-            pending.discard(sender)
+            pending.difference_update(senders)
 
     def purge_tainted(self, failed: set[str]) -> None:
         self._rows = [row for row in self._rows if not row.tainted_by(failed)]
@@ -627,6 +632,15 @@ class _NodeQueryContext:
 
 
 @dataclass
+class QueryServiceStats(Counters):
+    """Counters of one node's query service."""
+
+    #: Starts whose snapshot digest differed from this node's view, each
+    #: answered by one ``query.snapshot`` fetch from the initiator.
+    snapshot_fetches: int = counter("query.snapshot_fetches", per_query=False)
+
+
+@dataclass
 class _ActiveQuery:
     """Initiator-side state of one running query."""
 
@@ -635,6 +649,7 @@ class _ActiveQuery:
     epoch: int
     options: QueryOptions
     snapshot: RoutingSnapshot
+    #: The launch snapshot, served to participants that fetch it at start.
     original_snapshot: RoutingSnapshot
     scan_specs: dict[int, _ScanSpec]
     collector: _ResultCollector
@@ -706,6 +721,11 @@ class QueryService:
         #: lose rows silently (or hang the completion protocol), so they are
         #: held back and replayed in arrival order when the start arrives.
         self._pending_messages: dict[str, list[tuple[str, Mapping[str, object]]]] = {}
+        #: ``query.start`` payloads waiting for the initiator's snapshot: this
+        #: node's membership view disagreed with the start's digest.  Their
+        #: queries' messages keep buffering in ``_pending_messages`` meanwhile.
+        self._pending_starts: dict[str, Mapping[str, object]] = {}
+        self.stats = QueryServiceStats()
         #: Query ids whose state this node already tore down (abort received):
         #: stragglers for these are late, not early, and must stay dropped.
         #: Insertion-ordered and pruned to a fixed horizon — a straggler can
@@ -746,6 +766,7 @@ class QueryService:
         self.rpc.register("query.eos_summary", self._on_eos_summary)
         self.rpc.register("query.recover", self._on_recover)
         self.rpc.register("query.abort", self._on_abort)
+        self.rpc.register("query.snapshot", self._on_snapshot_request)
 
     # ------------------------------------------------------------------ coordinator
 
@@ -857,6 +878,7 @@ class QueryService:
         self._contexts.clear()
         self._active.clear()
         self._pending_messages.clear()
+        self._pending_starts.clear()
         self._finished_queries.clear()
 
     def _cache_publish_seq(self) -> int:
@@ -1020,16 +1042,19 @@ class QueryService:
         )
         self._active[query_id] = active
         # Each participant receives only what it needs: the plan, the routing
-        # snapshot, its own index-node page assignments, the index nodes it
-        # must wait for (scan end-of-stream senders) and the nodes it must
-        # notify when its own index duties finish.  Shipping the full page
-        # catalogue to every node would make plan dissemination grow with
-        # (pages × participants) — a real implementation sends scan requests
-        # only to the index nodes that own the pages (Algorithm 1).
+        # snapshot's 16-byte digest, its own index-node page assignments, the
+        # index nodes it must wait for (scan end-of-stream senders) and the
+        # nodes it must notify when its own index duties finish.  Shipping the
+        # full page catalogue to every node would make plan dissemination grow
+        # with (pages × participants) — a real implementation sends scan
+        # requests only to the index nodes that own the pages (Algorithm 1).
+        # Likewise the snapshot itself (32 bytes per range) would make every
+        # start O(nodes) and every query O(nodes²): participants whose view
+        # has the same digest already hold it, and only the rest fetch it.
         expected_by_participant, receivers_by_index_node = _scan_completion_maps(
             scan_specs, participants, snapshot
         )
-        base_size = plan.estimated_size() + 32 * len(snapshot)
+        base_size = plan.estimated_size() + 16
         for address in participants:
             per_node_specs = {
                 op_id: spec.restricted_to(address) for op_id, spec in scan_specs.items()
@@ -1040,7 +1065,7 @@ class QueryService:
                 "query_id": query_id,
                 "initiator": self.node.address,
                 "plan": plan,
-                "snapshot": snapshot,
+                "snapshot_digest": snapshot.digest,
                 "options": options,
                 "scan_specs": per_node_specs,
                 "expected_scan_senders": expected,
@@ -1088,8 +1113,55 @@ class QueryService:
         query_id: str = payload["query_id"]
         if query_id in self._finished_queries:
             return  # the query already completed cluster-wide; stale start
+        snapshot = self.membership.snapshot()
+        if snapshot.digest == payload["snapshot_digest"]:
+            self._start_context(payload, snapshot)
+            return
+        # This node's view disagrees with the initiator's launch snapshot (a
+        # failure or join one side has not processed yet): fetch it, once.
+        # Messages for the query keep buffering until the reply arrives.
+        self.stats.snapshot_fetches += 1
+        self._pending_starts[query_id] = payload
+        self.rpc.call(
+            payload["initiator"], "query.snapshot", {"query_id": query_id}, 12,
+            on_reply=lambda reply: self._on_snapshot_reply(query_id, reply),
+            # A failed initiator owns the query through its own failure
+            # handling; this node just forgets it.
+            on_failure=lambda _address: self._drop_pending_start(query_id),
+        )
+
+    def _on_snapshot_request(self, _src: str, payload: Mapping[str, object], respond) -> None:
+        """Initiator side: the query's launch snapshot, or None once it ended."""
+        active = self._active.get(payload["query_id"])
+        if active is None:
+            respond({"snapshot": None}, 0)
+            return
+        snapshot = active.original_snapshot
+        respond({"snapshot": snapshot}, 32 * len(snapshot))
+
+    def _on_snapshot_reply(self, query_id: str, reply: Mapping[str, object]) -> None:
+        snapshot = reply["snapshot"]
+        if snapshot is None:
+            self._drop_pending_start(query_id)
+            return
+        payload = self._pending_starts.pop(query_id, None)
+        if payload is None:
+            return  # aborted while the fetch was outstanding
+        self._start_context(payload, snapshot)
+
+    def _drop_pending_start(self, query_id: str) -> None:
+        """Forget a start whose snapshot fetch cannot complete, and every
+        message buffered for its query."""
+        if self._pending_starts.pop(query_id, None) is None:
+            return
+        self._pending_messages.pop(query_id, None)
+        self._note_finished(query_id)
+
+    def _start_context(self, payload: Mapping[str, object], snapshot: RoutingSnapshot) -> None:
+        """Run a start under ``snapshot``: build the context, begin this
+        node's index-node duties, then replay what raced ahead."""
+        query_id: str = payload["query_id"]
         plan: PhysicalPlan = payload["plan"]
-        snapshot: RoutingSnapshot = payload["snapshot"]
         options: QueryOptions = payload["options"]
         scan_specs: Mapping[int, _ScanSpec] = payload["scan_specs"]
         context = _NodeQueryContext(
@@ -1497,7 +1569,7 @@ class QueryService:
             if not active.completed:
                 active.collector.accept(rows, active.failed_nodes)
                 if eos:
-                    active.collector.sender_eos(payload["sender"], payload["phase"])
+                    active.collector.sender_eos((payload["sender"],), payload["phase"])
                     self._maybe_complete(active)
             return
         context = self._context_or_buffer("query.data", payload)
@@ -1507,7 +1579,7 @@ class QueryService:
         if receiver is not None:
             receiver.accept(rows)
             if eos:
-                receiver.sender_eos(payload["sender"], payload["phase"])
+                receiver.sender_eos((payload["sender"],), payload["phase"])
 
     def _on_eos(self, _src: str, payload: Mapping[str, object], _respond) -> None:
         query_id = payload["query_id"]
@@ -1521,8 +1593,7 @@ class QueryService:
         active = self._active.get(query_id)
         if active is not None and exchange_id == active.plan.root.op_id:
             if not active.completed:
-                for sender in senders:
-                    active.collector.sender_eos(sender, phase)
+                active.collector.sender_eos(senders, phase)
                 self._maybe_complete(active)
             return
         context = self._context_or_buffer("query.eos", payload)
@@ -1530,8 +1601,7 @@ class QueryService:
             return
         receiver = context.fragment.receivers.get(exchange_id)
         if receiver is not None:
-            for sender in senders:
-                receiver.sender_eos(sender, phase)
+            receiver.sender_eos(senders, phase)
 
     def _maybe_complete(self, active: _ActiveQuery) -> None:
         if active.completed or not active.collector.is_complete(
@@ -1592,6 +1662,7 @@ class QueryService:
     def _on_abort(self, _src: str, payload: Mapping[str, object], _respond) -> None:
         query_id = payload["query_id"]
         self._teardown_context(query_id)
+        self._pending_starts.pop(query_id, None)
         self._pending_messages.pop(query_id, None)
         self._note_finished(query_id)
 

@@ -6,7 +6,7 @@ from repro.faults.injector import FaultStats
 from repro.integrity.stats import IntegrityStats
 from repro.net.simnet import TrafficMeter
 from repro.obs.metrics import SupportsToDict, format_series
-from repro.query.service import QueryStatistics
+from repro.query.service import QueryServiceStats, QueryStatistics
 from repro.resilience.stats import ResilienceStats
 from repro.runtime.scheduler import SchedulerStats
 
@@ -21,6 +21,7 @@ class TestToDictProtocol:
             SchedulerStats(),
             FaultStats(),
             EncodingStats(),
+            QueryServiceStats(),
             QueryStatistics(started_at=0.0),
         ):
             assert isinstance(stats, SupportsToDict)
